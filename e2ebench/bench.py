@@ -21,7 +21,7 @@ from e2ebench import stats, tracing, workloads
 from repro.crypto import keycorpus
 
 #: Set-up runs this many times per run; ``setup_s`` is their median.
-SETUP_REPEATS = 3
+SETUP_REPEATS = 7
 
 #: ``(name, unit)`` of every end-to-end metric, in report order.
 END_TO_END: Tuple[Tuple[str, str], ...] = (

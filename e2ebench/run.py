@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Run one workload of the repository's end-to-end benchmark.
 
-    python3 e2ebench/run.py --workload serve --seed 1 --seconds 25 --trace 0
+    python3 e2ebench/run.py --workload serve --seed 1 --seconds 20 --trace 0
 
 Prints every metric as ``name value unit``, then, as the last line, one
 JSON object with the keys ``correct``, ``attempted``, ``failed`` and
@@ -24,7 +24,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workload", required=True, help="sweep, serve or taint")
+    parser.add_argument("--workload", required=True, help="sweep, serve, taint or analyze")
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True,
                         help="timed work to measure, in seconds")

@@ -1,13 +1,13 @@
 #!/usr/bin/env python3
 """A/A stability check: does the benchmark agree with itself?
 
-    python3 e2ebench/stability.py --workload serve --runs 10 --sets 2
+    python3 e2ebench/stability.py --workload serve --runs 10
 
-Runs ``run.py`` on one workload ``runs`` times per set, each run with its
-own seed, in sets of the same code.  For every end-to-end metric it
-prints each set's median and quartile spread (interquartile distance as
-a share of the median) against the metric's bound in ``BENCHMARK.json``,
-then compares the sets' medians:
+Runs ``run.py`` on one workload in two sets of ``runs`` runs of the same
+code, seeds ``1..runs`` and ``runs+1..2*runs``.  For every end-to-end
+metric it prints each set's median and quartile spread (interquartile
+distance as a share of the median) against the metric's bound in
+``BENCHMARK.json``, then compares the sets' medians:
 
 * a spread wider than the bound is **unresolved** - the benchmark cannot
   tell a change of that size from noise, so it never reads "unchanged";
@@ -55,8 +55,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True)
     parser.add_argument("--runs", type=int, default=10, help="runs per set")
-    parser.add_argument("--sets", type=int, default=2)
-    parser.add_argument("--first-seed", type=int, default=1)
     parser.add_argument("--seconds", type=float, default=None,
                         help="default: run_seconds from BENCHMARK.json")
     parser.add_argument("--overhead", type=int, default=0, metavar="N",
@@ -68,10 +66,10 @@ def main(argv=None) -> int:
     metrics = spec["end_to_end"]
     sets: List[List[Dict]] = []
     failed = 0
-    for index in range(args.sets):
+    for index in range(2):
         results = []
         for run in range(args.runs):
-            seed = args.first_seed + index * args.runs + run
+            seed = 1 + index * args.runs + run
             result = run_once(args.workload, seed, seconds, 0)
             failed += result["failed"]
             results.append(result)
@@ -80,10 +78,10 @@ def main(argv=None) -> int:
                 for name, value in result["metrics"].items()), flush=True)
         sets.append(results)
 
-    print(f"\n{args.workload}: {args.sets} set(s) x {args.runs} runs of "
+    print(f"\n{args.workload}: 2 sets x {args.runs} runs of "
           f"{seconds:g} s, failed steps {failed}")
     print(f"{'metric':<14}{'bound':>7}  " + "".join(
-        f"{'set ' + str(i + 1) + ' median':>16}{'spread':>8}" for i in range(args.sets))
+        f"{'set ' + str(i + 1) + ' median':>16}{'spread':>8}" for i in range(2))
         + f"{'change':>9}  verdict")
     unresolved = 0
     for metric in metrics:
@@ -94,25 +92,17 @@ def main(argv=None) -> int:
         ]
         row = f"{name:<14}{bound:>7.2f}  " + "".join(
             f"{s['median']:>16.6g}{s['spread']:>8.3f}" for s in summaries)
-        spreads = [s["spread"] for s in summaries]
-        if name == "setup_s":
-            spreads = [0.0]  # set-up spread is not held to the bound
-        if len(summaries) > 1:
-            first, last = summaries[0]["median"], summaries[-1]["median"]
-            sign = 1 if metric["better"] == "lower" else -1
-            change = sign * (last - first) / first
-            word = verdict(spreads, change, bound)
-            row += f"{change:>+9.3f}  {word}"
-        else:
-            word = "unresolved" if max(spreads) > bound else "within bound"
-            row += f"{'':>9}  {word}"
+        first, second = summaries[0]["median"], summaries[1]["median"]
+        sign = 1 if metric["better"] == "lower" else -1
+        change = sign * (second - first) / first
+        word = verdict([s["spread"] for s in summaries], change, bound)
+        row += f"{change:>+9.3f}  {word}"
         unresolved += word in ("unresolved", "differs")
         print(row)
 
     if args.overhead:
-        first_seeds = [args.first_seed + run for run in range(min(args.overhead, args.runs))]
         deltas = []
-        for seed, untraced in zip(first_seeds, sets[0]):
+        for seed, untraced in zip(range(1, args.overhead + 1), sets[0]):
             traced = run_once(args.workload, seed, seconds, 1)
             deltas.append(traced["metrics"]["trace.op_p50_ms"]["value"]
                           - untraced["metrics"]["op_p50_ms"]["value"])

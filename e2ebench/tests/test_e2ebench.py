@@ -15,8 +15,9 @@ from pathlib import Path
 
 import pytest
 
-from e2ebench import bench, stats, tracing, workloads
-from repro.analysis.parallel import execute_spec
+from e2ebench import bench, snapshot, stats, tracing, workloads
+from repro.analysis.parallel import derive_seed
+from repro.analysis.runall import REPRO_ROOT, run_all
 
 ROOT = Path(__file__).resolve().parents[2]
 
@@ -112,23 +113,30 @@ def test_untraced_run_installs_no_wrapper(monkeypatch):
         assert vars(holder)[name] is original
 
 
-def test_traced_run_restores_and_accounts_for_each_operation():
+@pytest.mark.parametrize("name, blocks, layers", [
+    ("taint", 2, ("sanitizer.on_write_ms", "sanitizer.report_ms",
+                  "ssl.rsa_private_operation_ms", "apps.handle_request_ms")),
+    ("analyze", 1, ("analysis.ir_load_ms", "analysis.keylint_ms",
+                    "analysis.keyflow_ms", "analysis.keystate_ms",
+                    "analysis.keycount_ms", "analysis.keyrecon_ms",
+                    "analysis.keyspan_ms", "analysis.sarif_ms")),
+])
+def test_traced_run_restores_and_accounts_for_each_operation(name, blocks, layers):
     before = _target_bindings()
-    run = bench.measure("taint", seed=3, seconds=math.inf, trace=True, max_blocks=2)
-    for holder, name, original in before.values():
-        assert vars(holder)[name] is original
+    run = bench.measure(name, seed=3, seconds=math.inf, trace=True, max_blocks=blocks)
+    for holder, attribute, original in before.values():
+        assert vars(holder)[attribute] is original
     assert run.failed == 0
-    layers = run.per_layer()
-    accounted = sum(layers[f"{t.layer}_ms"] for t in tracing.TARGETS)
-    assert accounted + layers["trace.unattributed_ms"] == pytest.approx(
-        layers["trace.op_span_ms"]
+    per_layer = run.per_layer()
+    accounted = sum(per_layer[f"{t.layer}_ms"] for t in tracing.TARGETS)
+    assert accounted + per_layer["trace.unattributed_ms"] == pytest.approx(
+        per_layer["trace.op_span_ms"]
     )
-    assert layers["trace.op_span_ms"] * len(run.ops) == pytest.approx(
+    assert per_layer["trace.op_span_ms"] * len(run.ops) == pytest.approx(
         run.measured_s * 1e3, rel=0.05
     )
-    for layer in ("sanitizer.on_write_ms", "sanitizer.report_ms",
-                  "ssl.rsa_private_operation_ms", "apps.handle_request_ms"):
-        assert layers[layer] > 0, layer
+    for layer in layers:
+        assert per_layer[layer] > 0, layer
 
 
 def test_tracing_overhead_is_the_traced_minus_untraced_median():
@@ -153,6 +161,14 @@ def test_exact_counts_repeat_for_a_seed(name):
     assert first.exact["clock.rsa_private_us"] > 0
 
 
+def test_exact_analysis_counts_cover_the_whole_snapshot():
+    first = bench.measure("analyze", seed=5, seconds=math.inf, max_blocks=1)
+    second = bench.measure("analyze", seed=6, seconds=math.inf, trace=True, max_blocks=1)
+    assert first.failed == 0 and first.exact == second.exact
+    assert first.exact["analysis.functions"] == snapshot.PINNED_FUNCTIONS
+    assert first.exact["analysis.findings"] > 0
+
+
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
 def test_seed_reaches_the_stream(name):
     def labels(seed):
@@ -172,21 +188,52 @@ def test_sweep_specs_are_new_and_cover_the_grid():
     first, second = next(blocks), next(blocks)
     cells = sorted((s.kind, s.conns, s.dirs) for s in first)
     assert cells == sorted(workloads.sweep_cells())
-    seeds = {workloads.derive_seed(spec) for spec in first + second}
+    seeds = {derive_seed(spec) for spec in first + second}
     assert len(seeds) == len(first) + len(second)
 
 
-def test_sweep_runner_matches_execute_spec():
+def test_attack_recorder_restores_the_methods():
+    before = {name: vars(workloads.Simulation)[name]
+              for name in workloads.AttackRecorder.METHODS}
     workload = workloads.make("sweep", 9)
-    block = next(workload.specs())
-    for kind in ("ntty", "ext2"):
-        spec = min((s for s in block if s.kind == kind), key=lambda s: s.conns)
-        assert workload.execute(spec) == execute_spec(spec)
+    spec = min((s for s in next(workload.specs()) if s.kind == "ext2"),
+               key=lambda s: s.conns)
+    outcomes, failures = workload.run_spec(spec)
+    assert not failures and len(workload._attacks) == 1
+    sim, attack, seconds = workload._attacks[0]
+    assert outcomes[0].copies == attack.total_copies and seconds > 0
+    for name, method in before.items():
+        assert vars(workloads.Simulation)[name] is method
 
 
 # ----------------------------------------------------------------------
 # oracles
 # ----------------------------------------------------------------------
+def test_analyze_groups_split_the_snapshot():
+    workload = workloads.make("analyze", 8)
+    workload.setup()
+    files = [pair for group in workload.groups.values() for pair in group]
+    assert len(files) == len(set(files)) == snapshot.PINNED_FILES
+    assert workload.warmup_group in workload.groups
+
+
+def test_snapshot_report_matches_the_live_tree_at_pin_time(tmp_path):
+    pinned = snapshot.extract(tmp_path)
+    live = {path.relative_to(REPRO_ROOT): path.read_bytes()
+            for path in REPRO_ROOT.rglob("*.py")}
+    if live != {path.relative_to(pinned): path.read_bytes()
+                for path in pinned.rglob("*.py")}:
+        pytest.skip("src/repro has changed since the snapshot was pinned")
+
+    def reports(root):
+        result = run_all(paths=[root])
+        text = json.dumps(result.to_json_dict(), sort_keys=True) + json.dumps(
+            result.to_sarif(), sort_keys=True)
+        return text.replace(str(root), "<root>")
+
+    assert reports(pinned) == reports(REPRO_ROOT)
+
+
 def test_naive_count_counts_overlaps():
     assert workloads.naive_count(b"aaaa", b"aa") == 3
     assert workloads.naive_count(b"abc", b"x") == 0
@@ -195,11 +242,23 @@ def test_naive_count_counts_overlaps():
 def test_sweep_oracle_rejects_a_wrong_count():
     workload = workloads.make("sweep", 10)
     spec = next(s for s in next(workload.specs()) if s.kind == "ntty")
-    workload.execute(spec)
-    sim, attack = workload._last
+    workload.run_spec(spec)
+    sim, attack, _ = workload._attacks[0]
     assert workloads.recount(sim, "ntty", attack)
     attack.counts["p"] += 1
     assert not workloads.recount(sim, "ntty", attack)
+
+
+def test_analyze_oracle_rejects_a_changed_log():
+    workload = workloads.make("analyze", 12)
+    workload.setup()
+    stream = workload.steps()
+    op, read = next(stream), next(stream)
+    assert op.check(op.run())
+    text = read.run()
+    assert read.check(text) and read.check(read.run())
+    assert not read.check(text + "\n")
+    assert not read.check("{}")
 
 
 def test_serve_oracle_rejects_a_wrong_scan():

@@ -57,6 +57,14 @@ TARGETS: Tuple[Target, ...] = (
            "KeySan.on_frames_freed"),
     Target("sanitizer.report", "repro.sanitizer.keysan", "KeySan.report"),
     Target("sanitizer.cross_check", "repro.sanitizer.report", "TaintReport.cross_check"),
+    Target("analysis.ir_load", "repro.analysis.ir.project", "Project.load"),
+    Target("analysis.keylint", "repro.analysis.lint", "lint_file"),
+    Target("analysis.keyflow", "repro.analysis.keyflow", "analyze"),
+    Target("analysis.keystate", "repro.analysis.keystate", "analyze"),
+    Target("analysis.keycount", "repro.analysis.keycount", "analyze"),
+    Target("analysis.keyrecon", "repro.analysis.keyrecon", "analyze"),
+    Target("analysis.keyspan", "repro.analysis.keyspan", "analyze"),
+    Target("analysis.sarif", "repro.analysis.runall", "AnalyzeResult.to_sarif"),
 )
 
 #: Layer names of the roots the runner opens around each measured step;
@@ -117,9 +125,10 @@ class Tracer:
     def install(self) -> None:
         """Wrap every target wherever the program can reach it.
 
-        Methods are replaced on their class.  A module-level function is
-        replaced in its defining module and in every loaded ``repro``
-        module that imported it by name.
+        Methods (class methods too) are replaced on their class.  A
+        module-level function is
+        replaced in the module named and in every loaded ``repro`` module
+        that holds it under the same name.
         """
         if self._patched:
             raise RuntimeError("tracer is already installed")
@@ -130,7 +139,10 @@ class Tracer:
             for part in owner_path:
                 owner = getattr(owner, part)
             original = vars(owner)[name]
-            wrapped = self._wrap(target.layer, original)
+            if isinstance(original, classmethod):
+                wrapped = classmethod(self._wrap(target.layer, original.__func__))
+            else:
+                wrapped = self._wrap(target.layer, original)
             owners = [owner]
             if not owner_path:
                 owners += [

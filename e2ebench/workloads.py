@@ -2,9 +2,10 @@
 
 Each workload turns the benchmark seed into a set-up and an endless,
 balanced stream of :class:`Step`\\ s.  A step is either an *operation*
-(one sweep run, one session) or a *read* (an incremental scan, a taint
-audit) and carries an optional *check*, the correctness oracle that the
-runner calls outside the timed region.
+(one sweep run, one session, one analysis of a file group) or a *read*
+(an incremental scan, a taint audit, a merged SARIF log) and carries an
+optional *check*, the correctness oracle that the runner calls outside
+the timed region.
 
 The streams are built from fixed-composition blocks: every block holds
 the same mix of step costs in a seed-shuffled order, and the runner only
@@ -14,15 +15,22 @@ the mix the clock ran out.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import json
 import random
 import time
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
+from e2ebench import snapshot
 from repro.analysis import experiments
-from repro.analysis.parallel import RunOutcome, RunSpec, derive_seed, run_specs
+from repro.analysis.ir.project import Project, discover_files
+from repro.analysis.parallel import RunSpec, run_specs
 from repro.analysis.perfbench import SCP_FILE_SIZES, SIEGE_RESPONSE_BYTES
+from repro.analysis.runall import run_all
+from repro.analysis.sarif import validate_sarif
 from repro.apps.sshd import OpenSSHServer
 from repro.attacks.scanner import MemoryScanner
 from repro.core.protection import ProtectionLevel
@@ -84,6 +92,7 @@ COUNTER_NAMES = (
     "mem.alloc_pages", "mem.free_pages", "mem.cleared_frames",
     "kernel.pagecache_misses", "crypto.keys_generated",
     "ssl.rsa_private_operations", "apps.sessions",
+    "analysis.functions", "analysis.findings",
 ) + tuple(f"clock.{category}_us" for category in CLOCK_CATEGORIES)
 
 
@@ -177,7 +186,9 @@ class SweepWorkload(Workload):
     through the six levels, in a seed-chosen order, every second block,
     so each pair of blocks runs every cell on both servers and twelve
     blocks cover the whole grid.  Every spec is new (``rep`` is the block number), so each run
-    pays its own cold keygen, as a user's first sweep does.
+    pays its own cold keygen, as a user's first sweep does.  Runs go
+    through ``run_specs`` and the program's own ``execute_spec``; an
+    :class:`AttackRecorder` lends the oracle the machine and the attack.
 
     A dead machine is a web of reference cycles that only the cyclic
     collector frees, tens of MB at a time.  Collecting after every run
@@ -193,7 +204,8 @@ class SweepWorkload(Workload):
     def __init__(self, seed: int) -> None:
         super().__init__(seed)
         self._totals: Dict[str, int] = {}
-        self._last: Optional[Tuple[Simulation, object]] = None
+        #: The attacks recorded during the last operation.
+        self._attacks: List[Tuple[Simulation, object, float]] = []
 
     def specs(self) -> Iterator[List[RunSpec]]:
         """Blocks of specs: every cell once, machines rotating."""
@@ -217,52 +229,32 @@ class SweepWorkload(Workload):
             block += 1
 
     def setup(self) -> None:
-        """Warm the process with one fixed run on a cold key corpus.
+        """Warm the process with one fixed run of each kind on a cold key
+        corpus.
 
-        The warm-up machine does not depend on the seed, so every run's
+        The warm-up machines do not depend on the seed, so every run's
         set-up does the same work."""
-        warmup = RunSpec("ntty", "openssh", ProtectionLevel.NONE.value, 10, 0,
-                         0, 0, SWEEP_MEMORY_MB["ntty"], SWEEP_KEY_BITS)
-        outcomes, failures = run_specs([warmup], workers=1, runner=self.execute)
-        if failures or outcomes[0] is None:
-            raise RuntimeError(f"sweep warm-up run failed: {failures}")
-        self._last = None
-        self.inner_reads.clear()
+        warmups = [
+            RunSpec("ntty", "openssh", ProtectionLevel.NONE.value, 10, 0,
+                    0, 0, SWEEP_MEMORY_MB["ntty"], SWEEP_KEY_BITS),
+            RunSpec("ext2", "openssh", ProtectionLevel.NONE.value,
+                    experiments.QUICK_EXT2_CONNECTIONS[0],
+                    experiments.QUICK_EXT2_DIRECTORIES[0],
+                    0, 0, SWEEP_MEMORY_MB["ext2"], SWEEP_KEY_BITS),
+        ]
+        outcomes, failures = run_specs(warmups, workers=1)
+        if failures or None in outcomes:
+            raise RuntimeError(f"sweep warm-up runs failed: {failures}")
 
-    def execute(self, spec: RunSpec) -> RunOutcome:
-        """:func:`repro.analysis.parallel.execute_spec` for the exact
-        attacker, keeping the machine and attack result for the oracle
-        and timing the attack (disclosure + search) as the run's read."""
-        seed = derive_seed(spec)
-        sim = Simulation(
-            SimulationConfig(
-                server=spec.server,
-                level=ProtectionLevel(spec.level),
-                seed=seed,
-                memory_mb=spec.memory_mb,
-                key_bits=spec.key_bits,
-            )
-        )
-        sim.start_server()
-        if spec.kind == "ext2":
-            sim.cycle_connections(spec.conns)
-            started = time.perf_counter()
-            attack = sim.run_ext2_attack(spec.dirs)
-        else:
-            if spec.conns:
-                sim.hold_connections(spec.conns)
-            started = time.perf_counter()
-            attack = sim.run_ntty_attack()
-        self.inner_reads.append((cell_name(spec), time.perf_counter() - started))
-        self._last = (sim, attack)
-        return RunOutcome(
-            spec=spec,
-            seed=seed,
-            copies=attack.total_copies,
-            success=attack.success,
-            elapsed_s=attack.elapsed_s,
-            bytes_moved=attack.disclosed_bytes,
-        )
+    def run_spec(self, spec: RunSpec):
+        """One run through ``run_specs``, recording its attack for the
+        oracle and timing the attack (disclosure + search) as the read."""
+        with AttackRecorder() as recorder:
+            result = run_specs([spec], workers=1)
+        self._attacks = recorder.calls
+        for _, _, seconds in recorder.calls:
+            self.inner_reads.append((cell_name(spec), seconds))
+        return result
 
     def steps(self) -> Iterator[Step]:
         for block in self.specs():
@@ -271,22 +263,55 @@ class SweepWorkload(Workload):
                     "op",
                     f"{cell_name(spec)} {spec.server}/{spec.level} rep={spec.rep}",
                     cell_name(spec),
-                    lambda spec=spec: run_specs([spec], workers=1, runner=self.execute),
+                    lambda spec=spec: self.run_spec(spec),
                     self._check,
                     block_end=index == len(block) - 1,
                 )
 
     def _check(self, result) -> bool:
         outcomes, failures = result
-        last, self._last = self._last, None
-        if failures or outcomes[0] is None or last is None:
+        attacks, self._attacks = self._attacks, []
+        if failures or outcomes[0] is None or len(attacks) != 1:
             return False
-        sim, attack = last
+        sim, attack, _ = attacks[0]
         add_counters(self._totals, machine_counters(sim))
         return recount(sim, outcomes[0].spec.kind, attack)
 
     def machine_totals(self) -> Dict[str, int]:
         return dict(self._totals)
+
+
+class AttackRecorder:
+    """While active, records every exact attack a :class:`Simulation`
+    runs as ``(machine, result, seconds)``, and restores the methods on
+    exit."""
+
+    METHODS = ("run_ntty_attack", "run_ext2_attack")
+
+    def __init__(self) -> None:
+        self.calls: List[Tuple[Simulation, object, float]] = []
+        self._saved: Dict[str, Callable] = {}
+
+    def _record(self, method: Callable) -> Callable:
+        @functools.wraps(method)
+        def recorded(sim, *args, **kwargs):
+            started = time.perf_counter()
+            attack = method(sim, *args, **kwargs)
+            self.calls.append((sim, attack, time.perf_counter() - started))
+            return attack
+
+        return recorded
+
+    def __enter__(self) -> "AttackRecorder":
+        for name in self.METHODS:
+            self._saved[name] = vars(Simulation)[name]
+            setattr(Simulation, name, self._record(self._saved[name]))
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        for name, method in self._saved.items():
+            setattr(Simulation, name, method)
+        self._saved.clear()
 
 
 def recount(sim: Simulation, kind: str, attack) -> bool:
@@ -423,9 +448,113 @@ class TaintWorkload(ServeWorkload):
                     lambda check: check.consistent, block_end=True)
 
 
+# ----------------------------------------------------------------------
+# analyze: the static stack over a pinned source snapshot
+# ----------------------------------------------------------------------
+def file_groups(pairs: List[Tuple[Path, Path]]) -> Dict[str, List[Tuple[Path, Path]]]:
+    """Split ``(root, file)`` pairs by package: each subpackage of
+    ``analysis`` on its own, the top-level modules and ``hw`` together."""
+    groups: Dict[str, List[Tuple[Path, Path]]] = {}
+    for root, file_path in pairs:
+        parts = file_path.relative_to(root).parts
+        if parts[0] == "analysis" and len(parts) > 2:
+            name = f"analysis/{parts[1]}"
+        elif len(parts) == 1 or parts[0] == "hw":
+            name = "top"
+        else:
+            name = parts[0]
+        groups.setdefault(name, []).append((root, file_path))
+    return groups
+
+
+class AnalyzeWorkload(Workload):
+    """``repro analyze --format sarif`` over one package at a time.
+
+    Set-up loads the pinned snapshot (:mod:`e2ebench.snapshot`), refuses
+    it unless it holds the pinned file and function counts, and warms up
+    with one group.  An operation is ``run_all`` - the shared IR
+    build and all seven layers - over one package group; its read renders
+    that analysis as one merged SARIF document.  A block analyses every
+    group once, in a seed-shuffled order.  Garbage is collected between
+    steps, outside the timed region, so no analysis pays for an earlier
+    one's trees.
+
+    Whole-tree analysis takes seconds, so a run would hold a handful;
+    a group takes 60 to 400 ms.  Calls between groups are not resolved,
+    so the groups together cost less than the whole tree.
+    """
+
+    name = "analyze"
+    tail_percentile = 80.0
+    exact_blocks = 1
+    collect_garbage = True
+    warmup_group = "core"
+
+    def __init__(self, seed: int) -> None:
+        super().__init__(seed)
+        #: Unpacking is the benchmark's own work, not the program's, so
+        #: it happens once per process and outside the timed set-up.
+        self.root = snapshot.unpacked()
+        self.groups: Dict[str, List[Tuple[Path, Path]]] = {}
+        self._result = None
+        #: Group -> its first merged SARIF document of the run.
+        self._logs: Dict[str, str] = {}
+        self._totals: Dict[str, int] = {}
+
+    def setup(self) -> None:
+        pairs = discover_files([self.root])
+        project = Project.load([self.root], files=pairs)
+        found = (len(project.files), len(project.functions))
+        if found != (snapshot.PINNED_FILES, snapshot.PINNED_FUNCTIONS):
+            raise RuntimeError(
+                f"snapshot holds {found[0]} files / {found[1]} functions, pinned "
+                f"{snapshot.PINNED_FILES} / {snapshot.PINNED_FUNCTIONS}"
+            )
+        self.groups = file_groups(pairs)
+        run_all(files=self.groups[self.warmup_group]).to_sarif()
+
+    def analyze(self, files: List[Tuple[Path, Path]]):
+        self._result = run_all(files=files)
+        return self._result
+
+    def sarif_text(self) -> str:
+        """The merged log as ``repro analyze --format sarif`` writes it."""
+        return json.dumps(self._result.to_sarif(), indent=2) + "\n"
+
+    def steps(self) -> Iterator[Step]:
+        rng = random.Random(f"analyze|{self.seed}")
+        names = sorted(self.groups)
+        while True:
+            rng.shuffle(names)
+            for index, name in enumerate(names):
+                yield Step("op", f"{name} analyze", name,
+                           lambda name=name: self.analyze(self.groups[name]),
+                           self._count)
+                yield Step("read", f"{name} sarif", name, self.sarif_text,
+                           lambda text, name=name: self._check(name, text),
+                           block_end=index == len(names) - 1)
+
+    def _count(self, result) -> bool:
+        findings = len(result.violations) + sum(
+            len(report.findings) for report in result.reports.values()
+        )
+        add_counters(self._totals, {"analysis.functions": result.function_count,
+                                    "analysis.findings": findings})
+        return True
+
+    def _check(self, name: str, text: str) -> bool:
+        """The log is valid SARIF and byte-identical to the group's first."""
+        if validate_sarif(json.loads(text)):
+            return False
+        return self._logs.setdefault(name, text) == text
+
+    def machine_totals(self) -> Dict[str, int]:
+        return dict(self._totals)
+
+
 WORKLOADS: Dict[str, type] = {
     workload.name: workload
-    for workload in (SweepWorkload, ServeWorkload, TaintWorkload)
+    for workload in (SweepWorkload, ServeWorkload, TaintWorkload, AnalyzeWorkload)
 }
 
 
@@ -436,7 +565,3 @@ def make(name: str, seed: int) -> Workload:
         raise ValueError(
             f"unknown workload {name!r} (choose from {', '.join(WORKLOADS)})"
         ) from None
-
-
-def seed_streams_differ(name: str, seeds: Sequence[int]) -> bool:  # pragma: no cover
-    raise NotImplementedError

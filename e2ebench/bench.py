@@ -5,6 +5,9 @@ program's layer boundaries (:mod:`e2ebench.tracing`) and reports each
 layer's self time per operation instead, together with the exact work
 counters, which are taken over a fixed prefix of the stream so that they
 repeat exactly for a given seed whatever the machine's speed.
+
+Every time the runner reports is scaled to a nominal host speed by the
+reference work it times around each step (:mod:`e2ebench.hostspeed`).
 """
 
 from __future__ import annotations
@@ -17,11 +20,11 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from e2ebench import stats, tracing, workloads
+from e2ebench import hostspeed, stats, tracing, workloads
 from repro.crypto import keycorpus
 
 #: Set-up runs this many times per run; ``setup_s`` is their median.
-SETUP_REPEATS = 7
+SETUP_REPEATS = 5
 
 #: ``(name, unit)`` of every end-to-end metric, in report order.
 END_TO_END: Tuple[Tuple[str, str], ...] = (
@@ -40,6 +43,7 @@ PER_LAYER: Tuple[Tuple[str, str], ...] = (
         ("trace.unattributed_ms", "ms"),
         ("trace.op_span_ms", "ms"),
         ("trace.op_p50_ms", "ms"),
+        ("host.reference_ms", "ms"),
     )
     + tuple((name, "us" if name.endswith("_us") else "count")
             for name in workloads.COUNTER_NAMES)
@@ -54,7 +58,8 @@ class Run:
     seed: int
     traced: bool
     setup_times: List[float] = field(default_factory=list)
-    #: ``(stratum, seconds)`` of every operation and every read.
+    #: ``(stratum, seconds)`` of every operation and every read, scaled
+    #: to the nominal host speed like every other time here.
     ops: List[Tuple[str, float]] = field(default_factory=list)
     reads: List[Tuple[str, float]] = field(default_factory=list)
     #: Time spent in timed steps, reads between operations included.
@@ -68,6 +73,8 @@ class Run:
     setup_layers: Dict[str, float] = field(default_factory=dict)
     layers: Dict[str, float] = field(default_factory=dict)
     tail_percentile: float = 90.0
+    #: Median wall time of the host-speed reference over the run.
+    reference_ms: float = 0.0
 
     @property
     def op_times(self) -> List[float]:
@@ -110,6 +117,7 @@ class Run:
         metrics["trace.unattributed_ms"] = roots * per_op
         metrics["trace.op_span_ms"] = sum(self.layers.values()) * per_op
         metrics["trace.op_p50_ms"] = stats.stratified_median(self.ops) * 1e3
+        metrics["host.reference_ms"] = self.reference_ms
         exact = self.exact or {}
         for name in workloads.COUNTER_NAMES:
             metrics[name] = exact.get(name, 0)
@@ -129,7 +137,7 @@ def measure(
     max_blocks: Optional[int] = None,
 ) -> Run:
     """Set ``name`` up, then run whole blocks of its stream until the
-    timed steps add up to ``seconds`` (or ``max_blocks`` blocks ran)."""
+    loop has run for ``seconds`` (or ``max_blocks`` blocks ran)."""
     tracer = tracing.Tracer() if trace else None
     if tracer is not None:
         tracer.install()
@@ -151,8 +159,16 @@ def _untraced(tracer: Optional[tracing.Tracer], work: Callable[[], object]):
         tracer.self_s = saved
 
 
+def _take_layers(tracer: tracing.Tracer, slowdown: float, into: Dict[str, float]) -> None:
+    """Move the tracer's self times, scaled by ``slowdown``, into ``into``."""
+    for layer, seconds in tracer.self_s.items():
+        into[layer] = into.get(layer, 0.0) + seconds / slowdown
+    tracer.reset()
+
+
 def _measure(name, seed, seconds, tracer, max_blocks) -> Run:
     clock = time.perf_counter
+    reference = hostspeed.Reference(clock)
     workload = None
     run = Run(workload=name, seed=seed, traced=tracer is not None)
     for _ in range(SETUP_REPEATS):
@@ -160,19 +176,29 @@ def _measure(name, seed, seconds, tracer, max_blocks) -> Run:
         gc.collect()
         keycorpus.clear()  # every set-up pays the same cold keygen
         workload = workloads.make(name, seed)
+        before = reference.sample()
+        if tracer is not None:
+            tracer.reset()
         started = clock()
         workload.setup()
-        run.setup_times.append(clock() - started)
+        elapsed = clock() - started
+        slowdown = reference.slowdown(before + reference.sample())
+        run.setup_times.append(elapsed / slowdown)
+        if tracer is not None:
+            _take_layers(tracer, slowdown, run.setup_layers)
+    # Set-up's garbage (sweep's warm-up machines) would otherwise still be
+    # alive in the first step and set the run's peak RSS.
+    gc.collect()
     run.tail_percentile = workload.tail_percentile
-    if tracer is not None:
-        run.setup_layers = dict(tracer.self_s)
-        tracer.reset()
     baseline = _untraced(tracer, workload.counters)
 
     blocks = 0
+    loop_started = clock()
     for step in workload.steps():
         run.attempted += 1
         ok = True
+        inner_reads = len(workload.inner_reads)
+        before = reference.sample()
         started = clock()
         if tracer is not None:
             tracer.enter()
@@ -185,8 +211,14 @@ def _measure(name, seed, seconds, tracer, max_blocks) -> Run:
             if tracer is not None:
                 tracer.exit(step.kind)
         elapsed = clock() - started
-        (run.ops if step.kind == "op" else run.reads).append((step.stratum, elapsed))
-        run.measured_s += elapsed
+        slowdown = reference.slowdown(before + reference.sample())
+        (run.ops if step.kind == "op" else run.reads).append(
+            (step.stratum, elapsed / slowdown))
+        run.reads.extend((stratum, inner / slowdown)
+                         for stratum, inner in workload.inner_reads[inner_reads:])
+        run.measured_s += elapsed / slowdown
+        if tracer is not None:
+            _take_layers(tracer, slowdown, run.layers)
         if ok and step.check is not None:
             try:
                 ok = bool(_untraced(tracer, lambda: step.check(result)))
@@ -204,9 +236,9 @@ def _measure(name, seed, seconds, tracer, max_blocks) -> Run:
         blocks += 1
         if blocks == workload.exact_blocks:
             run.exact = _delta(_untraced(tracer, workload.counters), baseline)
-        if run.measured_s >= seconds or (max_blocks is not None and blocks >= max_blocks):
+        if clock() - loop_started >= seconds or (
+            max_blocks is not None and blocks >= max_blocks
+        ):
             break
-    run.reads.extend(workload.inner_reads)
-    if tracer is not None:
-        run.layers = dict(tracer.self_s)
+    run.reference_ms = reference.median_ms()
     return run

@@ -7,7 +7,8 @@ Prints every metric as ``name value unit``, then, as the last line, one
 JSON object with the keys ``correct``, ``attempted``, ``failed`` and
 ``metrics``.  ``--trace 0`` reports the end-to-end metrics; ``--trace 1``
 wraps the program's layer boundaries and reports per-layer self times
-and exact work counts instead.  The program is imported from the
+and exact work counts instead.  Times are scaled to a nominal host
+speed (:mod:`e2ebench.hostspeed`).  The program is imported from the
 ``src/`` directory beside this one; without it the run exits with
 status 2 and prints no result.
 """
@@ -35,7 +36,7 @@ def main(argv=None) -> int:
         print(f"e2ebench: no program sources under {ROOT / 'src'}", file=sys.stderr)
         return 2
     sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
-    from e2ebench import bench, workloads
+    from e2ebench import bench, hostspeed, workloads
 
     if args.workload not in workloads.WORKLOADS:
         print(f"e2ebench: unknown workload {args.workload!r} "
@@ -50,6 +51,8 @@ def main(argv=None) -> int:
     else:
         units, metrics = dict(bench.END_TO_END), run.end_to_end()
     print(f"workload {run.workload} seed {run.seed} traced {int(run.traced)}")
+    print(f"host reference {run.reference_ms:.4g} ms; times are scaled to the "
+          f"nominal {hostspeed.REFERENCE_S * 1e3:g} ms")
     print(f"operations {len(run.op_times)} reads {len(run.read_times)} "
           f"failed {run.failed} failed_op_share {run.failed_op_share:.6g}")
     for error in run.errors[:10]:

@@ -5,6 +5,7 @@ Run from the repository root: ``python3 -m pytest e2ebench/tests -q``.
 
 from __future__ import annotations
 
+import gc
 import importlib
 import json
 import math
@@ -15,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from e2ebench import bench, snapshot, stats, tracing, workloads
+from e2ebench import bench, hostspeed, snapshot, stats, tracing, workloads
 from repro.analysis.parallel import derive_seed
 from repro.analysis.runall import REPRO_ROOT, run_all
 
@@ -41,7 +42,7 @@ def test_spread_is_interquartile_share_of_median():
 
 
 # ----------------------------------------------------------------------
-# tracing
+# host-speed scaling
 # ----------------------------------------------------------------------
 class FakeClock:
     def __init__(self, *ticks: float) -> None:
@@ -49,6 +50,26 @@ class FakeClock:
 
     def __call__(self) -> float:
         return self.ticks.pop(0)
+
+
+def test_slowdown_is_the_median_reference_time_over_nominal():
+    reference = hostspeed.Reference(clock=FakeClock(0, 0.001, 5, 5.003, 9, 9.002))
+    assert reference.sample() == pytest.approx([0.001, 0.003, 0.002])
+    assert reference.median_ms() == pytest.approx(2.0)
+    nominal = hostspeed.REFERENCE_S
+    assert hostspeed.Reference.slowdown([nominal] * 3 + [2 * nominal] * 4) == 2
+
+
+def test_reference_work_triggers_no_collection():
+    hostspeed.reference_work()
+    before = gc.get_count()
+    hostspeed.reference_work()
+    assert gc.get_count() == before
+
+
+# ----------------------------------------------------------------------
+# tracing
+# ----------------------------------------------------------------------
 
 
 def test_self_time_subtracts_direct_children_only():

@@ -13,10 +13,10 @@ CI then fails when
 Blanket suppressions are structurally impossible: the file maps one
 finding id to one non-empty justification string.
 
-This module is tool-agnostic shared infrastructure: KeyFlow and
-KeyState both gate on it, so their drift semantics cannot diverge.  A
-report only needs a ``finding_ids()`` method returning stable,
-line-number-free ids.
+This module is tool-agnostic shared infrastructure: every IR layer
+gates on it through ``repro analyze``, so their drift semantics cannot
+diverge.  A report only needs a ``finding_ids()`` method returning
+stable, line-number-free ids.
 """
 
 from __future__ import annotations

@@ -24,22 +24,15 @@ static bound vector.  The headline obligations, enforced in CI:
 
 Entry points: :func:`analyze` (the engine),
 :data:`~repro.analysis.keycount.config.DEFAULT_CONFIG`, and the
-``python -m repro keycount`` CLI.
+``python -m repro analyze --layers keycount`` CLI.
 """
 
-from repro.analysis.keycount.baseline import (
-    BaselineDrift,
-    compare_baseline,
-    load_baseline,
-    write_baseline,
-)
 from repro.analysis.keycount.config import DEFAULT_CONFIG, KeyCountConfig, KindSpec
 from repro.analysis.keycount.domain import Count
 from repro.analysis.keycount.engine import analyze
 from repro.analysis.keycount.findings import LADDER, Finding, KeyCountReport
 
 __all__ = [
-    "BaselineDrift",
     "Count",
     "DEFAULT_CONFIG",
     "Finding",
@@ -48,7 +41,4 @@ __all__ = [
     "KindSpec",
     "LADDER",
     "analyze",
-    "compare_baseline",
-    "load_baseline",
-    "write_baseline",
 ]

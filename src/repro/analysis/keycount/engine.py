@@ -43,10 +43,11 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..findings import Finding, sort_findings
 from ..ir.project import Project
 from .config import DEFAULT_CONFIG, REGION_CLASSES, KeyCountConfig
 from .domain import Count
-from .findings import LADDER, Finding, KeyCountReport, sort_findings
+from .findings import LADDER, KeyCountReport
 from .sites import (
     CallEdge,
     CopySite,

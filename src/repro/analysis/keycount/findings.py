@@ -1,11 +1,12 @@
-"""KeyCount findings and the quantitative report object.
+"""KeyCount's rule table and the quantitative report object.
 
-A :class:`Finding` is one *copy site* — a program point that can
-materialize a copy of key material — annotated with its
-deployment-weighted symbolic copy bound.  Rules are the copy kinds
-(``crt-part``, ``mont-cache``, ``pagecache-pem``, ``aligned-key-page``,
-``temp-buffer``, ``swap-out``), so the SARIF rule table doubles as the
-taxonomy of the paper's copy inventory.
+A finding (the shared :class:`~repro.analysis.findings.Finding`) is
+one *copy site* — a program point that can materialize a copy of key
+material — annotated with its deployment-weighted symbolic copy bound.
+Rules are the copy kinds (``crt-part``, ``mont-cache``,
+``pagecache-pem``, ``aligned-key-page``, ``temp-buffer``,
+``swap-out``), so the SARIF rule table doubles as the taxonomy of the
+paper's copy inventory.
 
 The report's headline payload is :attr:`KeyCountReport.bounds`: for
 every ProtectionLevel and every memory-region class, the symbolic
@@ -16,14 +17,16 @@ the next (product order: every region ≤, at least one <) down to at
 most one allocated copy at INTEGRATED — the paper's headline number.
 
 Baseline ids (``kind:function:op#ordinal``) exclude line numbers so
-the checked-in baseline survives unrelated edits, matching the
-KeyFlow/KeyState convention.
+the checked-in baseline survives unrelated edits, matching the stack
+convention.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
+
+from repro.analysis.findings import Finding, finding_ids, to_sarif
 
 from .config import REGION_CLASSES
 from .domain import Count
@@ -62,39 +65,6 @@ _RULE_DESCRIPTIONS: Dict[str, str] = {
 }
 
 
-@dataclass(frozen=True)
-class Finding:
-    """One copy site, stable across unrelated source edits."""
-
-    rule: str  # the copy kind
-    function: str  # fully-qualified: module.qualname
-    rel_path: str
-    line: int
-    detail: str  # "op#ordinal" within (rule, function)
-    message: str
-
-    @property
-    def baseline_id(self) -> str:
-        return f"{self.rule}:{self.function}:{self.detail}"
-
-    def to_json_dict(self) -> Dict[str, object]:
-        return {
-            "rule": self.rule,
-            "function": self.function,
-            "path": self.rel_path,
-            "line": self.line,
-            "detail": self.detail,
-            "message": self.message,
-            "id": self.baseline_id,
-        }
-
-
-def sort_findings(findings: Sequence[Finding]) -> List[Finding]:
-    return sorted(
-        findings, key=lambda f: (f.rule, f.function, f.detail, f.line)
-    )
-
-
 @dataclass
 class KeyCountReport:
     """Copy-site inventory + per-level symbolic copy bounds."""
@@ -107,10 +77,7 @@ class KeyCountReport:
     config: Dict[str, object]
 
     def finding_ids(self) -> List[str]:
-        return [finding.baseline_id for finding in self.findings]
-
-    def rule_description(self, rule: str) -> str:
-        return _RULE_DESCRIPTIONS.get(rule, rule)
+        return finding_ids(self.findings)
 
     # ------------------------------------------------------------------
     # bound queries
@@ -165,21 +132,9 @@ class KeyCountReport:
         }
 
     def to_sarif(self) -> Dict[str, object]:
-        from repro.analysis.sarif import sarif_log, sarif_result
-
-        return sarif_log(
-            tool_name="keycount",
-            rules=dict(_RULE_DESCRIPTIONS),
-            results=[
-                sarif_result(
-                    rule_id=finding.rule,
-                    message=finding.message,
-                    path=finding.rel_path,
-                    line=finding.line,
-                    level="note",
-                )
-                for finding in self.findings
-            ],
+        return to_sarif(
+            "keycount", _RULE_DESCRIPTIONS, self.findings,
+            level=lambda finding: "note",
         )
 
     def render_text(self) -> str:

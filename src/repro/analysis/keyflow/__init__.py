@@ -20,27 +20,17 @@ unable to silently under-approximate what the sanitizer observes.
 
 Entry points: :func:`analyze` (the engine),
 :data:`~repro.analysis.keyflow.config.DEFAULT_CONFIG`, and the
-``python -m repro keyflow`` CLI.
+``python -m repro analyze --layers keyflow`` CLI.
 """
 
-from repro.analysis.keyflow.baseline import (
-    BaselineDrift,
-    compare_baseline,
-    load_baseline,
-    write_baseline,
-)
 from repro.analysis.keyflow.config import DEFAULT_CONFIG, KeyFlowConfig
 from repro.analysis.keyflow.engine import analyze
 from repro.analysis.keyflow.findings import Finding, KeyFlowReport
 
 __all__ = [
-    "BaselineDrift",
     "DEFAULT_CONFIG",
     "Finding",
     "KeyFlowConfig",
     "KeyFlowReport",
     "analyze",
-    "compare_baseline",
-    "load_baseline",
-    "write_baseline",
 ]

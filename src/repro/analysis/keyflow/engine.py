@@ -10,9 +10,10 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.analysis.findings import Finding, sort_findings
 from repro.analysis.keyflow.config import DEFAULT_CONFIG, KeyFlowConfig
 from repro.analysis.keyflow.dataflow import TaintAnalysis
-from repro.analysis.keyflow.findings import Finding, KeyFlowReport, sort_findings
+from repro.analysis.keyflow.findings import KeyFlowReport
 from repro.analysis.ir.project import Project
 from repro.analysis.keyflow.scrub import check_function
 

@@ -1,10 +1,6 @@
-"""KeyFlow findings and the report object.
+"""KeyFlow's rule table and the report object.
 
-A :class:`Finding` is one reportable fact.  Its :attr:`baseline_id`
-deliberately excludes line numbers: ``rule:function:detail`` stays
-stable while code above it moves, so the checked-in baseline does not
-drift on unrelated edits.
-
+Findings use the shared :class:`~repro.analysis.findings.Finding`.
 Rules:
 
 * ``tainted-flow`` — a value carrying key-material taint reaches a
@@ -19,9 +15,9 @@ analysis twice is byte-identical (the repo-wide reports convention).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
-RULE_NAMES = ("tainted-flow", "missing-scrub")
+from repro.analysis.findings import Finding, finding_ids, to_sarif
 
 _RULE_DESCRIPTIONS: Dict[str, str] = {
     "tainted-flow": (
@@ -33,39 +29,6 @@ _RULE_DESCRIPTIONS: Dict[str, str] = {
         "including exception edges."
     ),
 }
-
-
-@dataclass(frozen=True)
-class Finding:
-    """One static finding, stable across unrelated source edits."""
-
-    rule: str  # one of RULE_NAMES
-    function: str  # fully-qualified: module.qualname
-    rel_path: str
-    line: int
-    detail: str  # stable discriminator within (rule, function)
-    message: str  # human-readable one-liner
-
-    @property
-    def baseline_id(self) -> str:
-        return f"{self.rule}:{self.function}:{self.detail}"
-
-    def to_json_dict(self) -> Dict[str, object]:
-        return {
-            "rule": self.rule,
-            "function": self.function,
-            "path": self.rel_path,
-            "line": self.line,
-            "detail": self.detail,
-            "message": self.message,
-            "id": self.baseline_id,
-        }
-
-
-def sort_findings(findings: Sequence[Finding]) -> List[Finding]:
-    return sorted(
-        findings, key=lambda f: (f.rule, f.function, f.detail, f.line)
-    )
 
 
 @dataclass
@@ -81,10 +44,7 @@ class KeyFlowReport:
     config: Dict[str, object]
 
     def finding_ids(self) -> List[str]:
-        return [finding.baseline_id for finding in self.findings]
-
-    def rule_description(self, rule: str) -> str:
-        return _RULE_DESCRIPTIONS.get(rule, rule)
+        return finding_ids(self.findings)
 
     # ------------------------------------------------------------------
     def to_json_dict(self) -> Dict[str, object]:
@@ -98,23 +58,7 @@ class KeyFlowReport:
         }
 
     def to_sarif(self) -> Dict[str, object]:
-        """SARIF 2.1.0 log via the shared exporter (same shape as
-        keylint's)."""
-        from repro.analysis.sarif import sarif_log, sarif_result
-
-        return sarif_log(
-            tool_name="keyflow",
-            rules=dict(_RULE_DESCRIPTIONS),
-            results=[
-                sarif_result(
-                    rule_id=finding.rule,
-                    message=finding.message,
-                    path=finding.rel_path,
-                    line=finding.line,
-                )
-                for finding in self.findings
-            ],
-        )
+        return to_sarif("keyflow", _RULE_DESCRIPTIONS, self.findings)
 
     def render_text(self) -> str:
         lines: List[str] = []

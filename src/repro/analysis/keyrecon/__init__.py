@@ -27,15 +27,9 @@ reconstruction rules.  The headline obligations, enforced in CI:
 
 Entry points: :func:`analyze` (the engine),
 :data:`~repro.analysis.keyrecon.config.DEFAULT_CONFIG`, and the
-``python -m repro keyrecon`` CLI.
+``python -m repro analyze --layers keyrecon`` CLI.
 """
 
-from repro.analysis.keyrecon.baseline import (
-    BaselineDrift,
-    compare_baseline,
-    load_baseline,
-    write_baseline,
-)
 from repro.analysis.keyrecon.config import (
     DEFAULT_CONFIG,
     FRAGMENTS,
@@ -47,7 +41,6 @@ from repro.analysis.keyrecon.engine import analyze
 from repro.analysis.keyrecon.findings import Finding, KeyReconReport
 
 __all__ = [
-    "BaselineDrift",
     "DEFAULT_CONFIG",
     "Derivation",
     "FRAGMENTS",
@@ -56,7 +49,4 @@ __all__ = [
     "KeyReconReport",
     "PUBLIC_FRAGMENTS",
     "analyze",
-    "compare_baseline",
-    "load_baseline",
-    "write_baseline",
 ]

@@ -19,14 +19,11 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.analysis.findings import Finding, sort_findings
 from repro.analysis.ir.project import Project
 from repro.analysis.keyrecon.config import DEFAULT_CONFIG, KeyReconConfig
 from repro.analysis.keyrecon.dataflow import ReconAnalysis
-from repro.analysis.keyrecon.findings import (
-    Finding,
-    KeyReconReport,
-    sort_findings,
-)
+from repro.analysis.keyrecon.findings import KeyReconReport
 
 #: The package's own source tree (default analysis root).
 REPRO_ROOT = Path(__file__).resolve().parents[2]

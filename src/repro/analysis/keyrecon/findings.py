@@ -1,9 +1,6 @@
-"""KeyRecon findings and the report object.
+"""KeyRecon's rule table and the report object.
 
-A :class:`Finding` is one reportable fact; ``baseline_id`` excludes
-line numbers (``rule:function:detail``) so the reviewed baseline does
-not drift on unrelated edits — the repo-wide convention.
-
+Findings use the shared :class:`~repro.analysis.findings.Finding`.
 Rules:
 
 * ``full-key-reconstructible`` — a structural attacker holding only
@@ -25,13 +22,9 @@ analysis twice is byte-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
-RULE_NAMES = (
-    "full-key-reconstructible",
-    "partial-reconstructible",
-    "fragment-concentration",
-)
+from repro.analysis.findings import Finding, finding_ids, to_sarif
 
 _RULE_DESCRIPTIONS: Dict[str, str] = {
     "full-key-reconstructible": (
@@ -61,39 +54,6 @@ _RULE_LEVELS: Dict[str, str] = {
 }
 
 
-@dataclass(frozen=True)
-class Finding:
-    """One static finding, stable across unrelated source edits."""
-
-    rule: str  # one of RULE_NAMES
-    function: str  # fully-qualified: module.qualname
-    rel_path: str
-    line: int
-    detail: str  # stable discriminator within (rule, function)
-    message: str  # human-readable one-liner
-
-    @property
-    def baseline_id(self) -> str:
-        return f"{self.rule}:{self.function}:{self.detail}"
-
-    def to_json_dict(self) -> Dict[str, object]:
-        return {
-            "rule": self.rule,
-            "function": self.function,
-            "path": self.rel_path,
-            "line": self.line,
-            "detail": self.detail,
-            "message": self.message,
-            "id": self.baseline_id,
-        }
-
-
-def sort_findings(findings: Sequence[Finding]) -> List[Finding]:
-    return sorted(
-        findings, key=lambda f: (f.rule, f.function, f.detail, f.line)
-    )
-
-
 @dataclass
 class KeyReconReport:
     """Full analysis output: findings + reconstructible set + inventory."""
@@ -114,10 +74,7 @@ class KeyReconReport:
     config: Dict[str, object]
 
     def finding_ids(self) -> List[str]:
-        return [finding.baseline_id for finding in self.findings]
-
-    def rule_description(self, rule: str) -> str:
-        return _RULE_DESCRIPTIONS.get(rule, rule)
+        return finding_ids(self.findings)
 
     # ------------------------------------------------------------------
     def to_json_dict(self) -> Dict[str, object]:
@@ -136,22 +93,9 @@ class KeyReconReport:
         }
 
     def to_sarif(self) -> Dict[str, object]:
-        """SARIF 2.1.0 log via the shared exporter."""
-        from repro.analysis.sarif import sarif_log, sarif_result
-
-        return sarif_log(
-            tool_name="keyrecon",
-            rules=dict(_RULE_DESCRIPTIONS),
-            results=[
-                sarif_result(
-                    rule_id=finding.rule,
-                    message=finding.message,
-                    path=finding.rel_path,
-                    line=finding.line,
-                    level=_RULE_LEVELS.get(finding.rule, "note"),
-                )
-                for finding in self.findings
-            ],
+        return to_sarif(
+            "keyrecon", _RULE_DESCRIPTIONS, self.findings,
+            level=lambda finding: _RULE_LEVELS.get(finding.rule, "note"),
         )
 
     def render_text(self) -> str:

@@ -26,22 +26,15 @@ The headline obligations, enforced in CI:
 
 Entry points: :func:`analyze` (the engine),
 :data:`~repro.analysis.keyspan.config.DEFAULT_CONFIG`, and the
-``python -m repro keyspan`` CLI.
+``python -m repro analyze --layers keyspan`` CLI.
 """
 
-from repro.analysis.keyspan.baseline import (
-    BaselineDrift,
-    compare_baseline,
-    load_baseline,
-    write_baseline,
-)
 from repro.analysis.keyspan.config import DEFAULT_CONFIG, KeySpanConfig, WindowKind
 from repro.analysis.keyspan.domain import Ticks
 from repro.analysis.keyspan.engine import analyze
 from repro.analysis.keyspan.findings import LADDER, Finding, KeySpanReport
 
 __all__ = [
-    "BaselineDrift",
     "DEFAULT_CONFIG",
     "Finding",
     "KeySpanConfig",
@@ -50,7 +43,4 @@ __all__ = [
     "Ticks",
     "WindowKind",
     "analyze",
-    "compare_baseline",
-    "load_baseline",
-    "write_baseline",
 ]

@@ -51,12 +51,13 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.core.protection import ProtectionLevel, ProtectionPolicy, policy_for
 
+from ..findings import sort_findings
 from ..ir.cfg import CFG, CFGNode, build_cfg
 from ..ir.project import FunctionInfo, Project, call_terminal, iter_own_nodes
 from .config import DEFAULT_CONFIG, KeySpanConfig, WindowKind
 from .costs import calls_in_expr, compute_summaries, price_call
 from .domain import Ticks
-from .findings import LADDER, Finding, KeySpanReport, sort_findings
+from .findings import LADDER, Finding, KeySpanReport
 
 REPRO_ROOT = Path(__file__).resolve().parents[2]
 

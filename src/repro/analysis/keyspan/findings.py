@@ -27,8 +27,10 @@ convention.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
+from ..findings import Finding as BaseFinding
+from ..findings import finding_ids, to_sarif
 from ..keycount.findings import LADDER
 from .config import KIND_ORDER
 from .domain import Ticks
@@ -62,15 +64,10 @@ _RULE_DESCRIPTIONS: Dict[str, str] = {
 
 
 @dataclass(frozen=True)
-class Finding:
-    """One mint site, stable across unrelated source edits."""
+class Finding(BaseFinding):
+    """One mint site; ``rule`` is its copy kind and ``detail`` its
+    ``op#ordinal`` within (rule, function)."""
 
-    rule: str  # the copy kind
-    function: str  # fully-qualified: module.qualname
-    rel_path: str
-    line: int
-    detail: str  # "op#ordinal" within (rule, function)
-    message: str
     #: Do the scrubs (at the strongest software policy) also cover the
     #: exception routes out of the minting function?  ``False`` is the
     #: missed-``finally`` finding class: a raise between mint and scrub
@@ -80,28 +77,12 @@ class Finding:
     #: but not part of the per-level window table.
     deployed: bool = True
 
-    @property
-    def baseline_id(self) -> str:
-        return f"{self.rule}:{self.function}:{self.detail}"
-
     def to_json_dict(self) -> Dict[str, object]:
         return {
-            "rule": self.rule,
-            "function": self.function,
-            "path": self.rel_path,
-            "line": self.line,
-            "detail": self.detail,
-            "message": self.message,
+            **super().to_json_dict(),
             "exception_covered": self.exception_covered,
             "deployed": self.deployed,
-            "id": self.baseline_id,
         }
-
-
-def sort_findings(findings: Sequence[Finding]) -> List[Finding]:
-    return sorted(
-        findings, key=lambda f: (f.rule, f.function, f.detail, f.line)
-    )
 
 
 @dataclass
@@ -120,10 +101,7 @@ class KeySpanReport:
     config: Dict[str, object]
 
     def finding_ids(self) -> List[str]:
-        return [finding.baseline_id for finding in self.findings]
-
-    def rule_description(self, rule: str) -> str:
-        return _RULE_DESCRIPTIONS.get(rule, rule)
+        return finding_ids(self.findings)
 
     # ------------------------------------------------------------------
     # window queries
@@ -235,27 +213,12 @@ class KeySpanReport:
         }
 
     def to_sarif(self) -> Dict[str, object]:
-        from repro.analysis.sarif import sarif_log, sarif_result
-
         # Rule ids are namespaced "span-<kind>": the merged analyze
         # SARIF requires globally unique ruleIds, and KeyCount already
         # claims the bare copy-kind names for its *count* findings.
-        return sarif_log(
-            tool_name="keyspan",
-            rules={
-                f"span-{rule}": text
-                for rule, text in _RULE_DESCRIPTIONS.items()
-            },
-            results=[
-                sarif_result(
-                    rule_id=f"span-{finding.rule}",
-                    message=finding.message,
-                    path=finding.rel_path,
-                    line=finding.line,
-                    level="note" if finding.exception_covered else "warning",
-                )
-                for finding in self.findings
-            ],
+        return to_sarif(
+            "keyspan", _RULE_DESCRIPTIONS, self.findings, prefix="span-",
+            level=lambda f: "note" if f.exception_covered else "warning",
         )
 
     def render_text(self) -> str:

@@ -14,10 +14,10 @@ happen in the right *order*:
   interprocedural typestate checker over the shared
   :mod:`repro.analysis.ir` representation;
 * :mod:`repro.analysis.keystate.findings` — findings with witness
-  paths, and the deterministic report (text/JSON/SARIF);
-* :mod:`repro.analysis.keystate.baseline` — the reviewed baseline,
-  gated in CI via the shared :mod:`repro.analysis.baseline` drift
-  semantics.
+  paths, and the deterministic report (text/JSON/SARIF).
+
+Its reviewed baseline, ``keystate/baseline.json``, is gated by the
+``python -m repro analyze --layers keystate`` CLI.
 """
 
 from repro.analysis.keystate.automata import (
@@ -27,11 +27,6 @@ from repro.analysis.keystate.automata import (
     Obligation,
     Transition,
     automata_by_name,
-)
-from repro.analysis.keystate.baseline import (
-    compare_baseline,
-    load_baseline,
-    write_baseline,
 )
 from repro.analysis.keystate.engine import KeyStateConfig, analyze
 from repro.analysis.keystate.findings import (
@@ -52,7 +47,4 @@ __all__ = [
     "WitnessStep",
     "analyze",
     "automata_by_name",
-    "compare_baseline",
-    "load_baseline",
-    "write_baseline",
 ]

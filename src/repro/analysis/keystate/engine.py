@@ -37,6 +37,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
+from repro.analysis.findings import sort_findings
 from repro.analysis.ir.cfg import CFG, build_cfg
 from repro.analysis.ir.project import FunctionInfo, Project, call_terminal
 from repro.analysis.keystate.automata import (
@@ -44,12 +45,7 @@ from repro.analysis.keystate.automata import (
     Automaton,
     automata_by_name,
 )
-from repro.analysis.keystate.findings import (
-    Finding,
-    KeyStateReport,
-    WitnessStep,
-    sort_findings,
-)
+from repro.analysis.keystate.findings import Finding, KeyStateReport, WitnessStep
 
 #: Default analysis root: the simulator package itself.
 REPRO_ROOT = Path(__file__).resolve().parents[2]

@@ -1,10 +1,7 @@
 """KeyState findings and the report object.
 
-A :class:`Finding` is one typestate violation.  Its
-:attr:`baseline_id` deliberately excludes line numbers:
-``rule:function:detail`` stays stable while code above it moves, so
-the checked-in baseline does not drift on unrelated edits.
-
+A :class:`Finding` is one typestate violation: the shared
+:class:`~repro.analysis.findings.Finding` plus the automaton it broke.
 Unlike KeyFlow, every finding carries a **witness**: the in-function
 event trace (CFG steps, innermost last) plus the caller chain that
 establishes the object's entry state — enough to replay the violation
@@ -16,8 +13,11 @@ analysis twice is byte-identical (the repo-wide reports convention).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Tuple
+
+from repro.analysis.findings import Finding as BaseFinding
+from repro.analysis.findings import finding_ids, to_sarif
 
 
 @dataclass(frozen=True)
@@ -48,41 +48,23 @@ class WitnessStep:
 
 
 @dataclass(frozen=True)
-class Finding:
-    """One typestate violation, stable across unrelated source edits."""
+class Finding(BaseFinding):
+    """One typestate violation; ``rule`` names the automaton's rule,
+    e.g. ``serve-before-align``."""
 
     protocol: str  # automaton name, e.g. "rsa-key"
-    rule: str  # automaton rule name, e.g. "serve-before-align"
-    function: str  # fully-qualified: module.qualname
-    rel_path: str
-    line: int
-    detail: str  # stable discriminator within (rule, function)
-    message: str  # human-readable one-liner
-    witness: Tuple[WitnessStep, ...] = field(default_factory=tuple)
+    witness: Tuple[WitnessStep, ...] = ()
 
     @property
-    def baseline_id(self) -> str:
-        return f"{self.rule}:{self.function}:{self.detail}"
+    def sort_key(self) -> Tuple:
+        return (self.protocol,) + super().sort_key
 
     def to_json_dict(self) -> Dict[str, object]:
         return {
+            **super().to_json_dict(),
             "protocol": self.protocol,
-            "rule": self.rule,
-            "function": self.function,
-            "path": self.rel_path,
-            "line": self.line,
-            "detail": self.detail,
-            "message": self.message,
-            "id": self.baseline_id,
             "witness": [step.to_json_dict() for step in self.witness],
         }
-
-
-def sort_findings(findings: Sequence[Finding]) -> List[Finding]:
-    return sorted(
-        findings,
-        key=lambda f: (f.protocol, f.rule, f.function, f.detail, f.line),
-    )
 
 
 @dataclass
@@ -99,10 +81,7 @@ class KeyStateReport:
     config: Dict[str, object]
 
     def finding_ids(self) -> List[str]:
-        return [finding.baseline_id for finding in self.findings]
-
-    def rule_description(self, rule: str) -> str:
-        return self.rule_descriptions.get(rule, rule)
+        return finding_ids(self.findings)
 
     # ------------------------------------------------------------------
     def to_json_dict(self) -> Dict[str, object]:
@@ -116,23 +95,7 @@ class KeyStateReport:
         }
 
     def to_sarif(self) -> Dict[str, object]:
-        """SARIF 2.1.0 log via the shared exporter (same shape as
-        keylint's and keyflow's)."""
-        from repro.analysis.sarif import sarif_log, sarif_result
-
-        return sarif_log(
-            tool_name="keystate",
-            rules=dict(sorted(self.rule_descriptions.items())),
-            results=[
-                sarif_result(
-                    rule_id=finding.rule,
-                    message=finding.message,
-                    path=finding.rel_path,
-                    line=finding.line,
-                )
-                for finding in self.findings
-            ],
-        )
+        return to_sarif("keystate", self.rule_descriptions, self.findings)
 
     def render_text(self) -> str:
         lines: List[str] = []

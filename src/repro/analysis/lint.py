@@ -77,8 +77,9 @@ flagged line (``ignore[*]`` silences all rules for that line); use it
 where a violation is deliberate, e.g. in negative-path tests.
 
 The public entry points are :func:`lint_file` and :func:`lint_paths`;
-``tools/keylint.py`` and ``python -m repro lint`` are thin shells over
-them.
+``python -m repro lint`` is a thin shell over them, and
+``python -m repro analyze --layers keylint`` runs them beside the IR
+layers.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """``repro analyze``: the whole static stack over one shared IR build.
 
-Running the six static layers independently parses and resolves the
-entire project six times.  This module discovers files once, builds
-one :class:`~repro.analysis.ir.project.Project`, and feeds it to:
+This is the one front end to the static layers, and :data:`LAYERS` is
+their one registry.  It discovers files once, builds one
+:class:`~repro.analysis.ir.project.Project`, and feeds it to:
 
 1. **keylint** — syntactic rules over the same discovered file list;
 2. **KeyFlow** — interprocedural taint;
@@ -22,45 +22,55 @@ uses to split the stack across jobs without re-parsing per layer.
 
 Gate semantics (``--check``): keylint violations fail directly (its
 baseline is "zero findings in src/repro"); the IR layers fail on
-baseline *drift* — a new finding or a stale suppression — via their
-packaged reviewed baselines.
+baseline *drift* — a new finding or a stale suppression — against
+their packaged reviewed baselines, ``analysis/<layer>/baseline.json``.
 """
 
 from __future__ import annotations
 
+import importlib
+import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.analysis.baseline import BaselineDrift, compare_baseline, load_baseline
 from repro.analysis.ir.project import Project, discover_files
 from repro.analysis.lint import LintViolation, lint_file, render_report, render_sarif
 from repro.analysis.sarif import merge_sarif_logs
-from repro.analysis.toolcli import BASELINE_TOOLS, get_tool
 
-REPRO_ROOT = Path(__file__).resolve().parents[1]
+ANALYSIS_ROOT = Path(__file__).resolve().parent
+REPRO_ROOT = ANALYSIS_ROOT.parent
 
-#: Stack order, for reports and the bench.
-LAYERS = ("keylint",) + BASELINE_TOOLS
+#: Stack order, for reports and the bench.  Every layer after keylint
+#: is an IR layer: the package ``repro.analysis.<name>`` exposing
+#: ``analyze(project=...)``, gated by ``analysis/<name>/baseline.json``.
+LAYERS = ("keylint", "keyflow", "keystate", "keycount", "keyrecon", "keyspan")
 
 
-def parse_layers(spec: Optional[str]) -> Tuple[str, ...]:
-    """Parse a ``--layers`` value ("keylint,keyflow") into stack order.
+def baseline_path(layer: str) -> Path:
+    """The reviewed baseline shipped with an IR layer's package."""
+    return ANALYSIS_ROOT / layer / "baseline.json"
 
-    ``None``/empty selects everything.  Unknown names raise ValueError
-    (exit code 2 at the CLI — bad input, not drift)."""
-    if not spec:
-        return LAYERS
-    requested = [name.strip() for name in spec.split(",") if name.strip()]
-    unknown = sorted(set(requested) - set(LAYERS))
+
+def select_layers(names: Iterable[str]) -> Tuple[str, ...]:
+    """Deduplicate ``names`` into stack order; none selects everything.
+
+    Unknown names raise ValueError (exit code 2 at the CLI — bad input,
+    not drift)."""
+    requested = {name.strip() for name in names} - {""}
+    unknown = sorted(requested - set(LAYERS))
     if unknown:
         raise ValueError(
             f"unknown analysis layers: {', '.join(unknown)} "
             f"(choose from {', '.join(LAYERS)})"
         )
-    if not requested:
-        return LAYERS
-    # Deduplicate and normalize to stack order.
-    return tuple(name for name in LAYERS if name in requested)
+    return tuple(name for name in LAYERS if name in requested) or LAYERS
+
+
+def parse_layers(spec: Optional[str]) -> Tuple[str, ...]:
+    """Parse a ``--layers`` value ("keylint,keyflow") into stack order."""
+    return select_layers(spec.split(",") if spec else ())
 
 
 @dataclass
@@ -73,14 +83,14 @@ class AnalyzeResult:
     #: tool name -> report object (KeyFlowReport/KeyStateReport/…).
     reports: Dict[str, object]
     #: tool name -> BaselineDrift (only populated by ``check=True``).
-    drifts: Dict[str, object] = field(default_factory=dict)
+    drifts: Dict[str, BaselineDrift] = field(default_factory=dict)
     #: The layers this run actually executed, in stack order.
     layers: Tuple[str, ...] = LAYERS
 
     @property
     def ran_tools(self) -> Tuple[str, ...]:
         """The baseline-gated layers that ran, in stack order."""
-        return tuple(name for name in BASELINE_TOOLS if name in self.layers)
+        return tuple(name for name in self.layers if name != "keylint")
 
     @property
     def ok(self) -> bool:
@@ -122,6 +132,14 @@ class AnalyzeResult:
         )
         return payload
 
+    def render(self, fmt: str) -> str:
+        """The report as ``repro analyze --format fmt`` prints it."""
+        if fmt == "sarif":
+            return json.dumps(self.to_sarif(), indent=2) + "\n"
+        if fmt == "json":
+            return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        return self.render_text()
+
     def render_text(self) -> str:
         lines: List[str] = []
         lines.append("repro analyze: the static stack over one IR build")
@@ -161,11 +179,7 @@ def run_all(
     layers: Optional[Sequence[str]] = None,
 ) -> AnalyzeResult:
     """Run the selected layers (default: all six) over one IR build."""
-    selected = tuple(layers) if layers else LAYERS
-    unknown = sorted(set(selected) - set(LAYERS))
-    if unknown:
-        raise ValueError(f"unknown analysis layers: {', '.join(unknown)}")
-    selected = tuple(name for name in LAYERS if name in selected)
+    selected = select_layers(layers or ())
 
     roots = [Path(p) for p in paths] if paths else [REPRO_ROOT]
     pairs = list(files) if files is not None else discover_files(roots)
@@ -177,15 +191,18 @@ def run_all(
             violations.extend(lint_file(file_path, root=root))
 
     reports: Dict[str, object] = {}
-    drifts: Dict[str, object] = {}
-    for name in BASELINE_TOOLS:
-        if name not in selected:
+    drifts: Dict[str, BaselineDrift] = {}
+    for name in selected:
+        if name == "keylint":
             continue
-        tool = get_tool(name)
-        report = tool.analyze(project=project)
+        # Looked up on every call, so a wrapper installed on the
+        # package's ``analyze`` (a tracer, a test double) sees the run.
+        analyze = importlib.import_module(f"repro.analysis.{name}").analyze
+        report = analyze(project=project)
         reports[name] = report
         if check:
-            drifts[name] = tool.compare_baseline(report, tool.load_baseline())
+            baseline = load_baseline(baseline_path(name))
+            drifts[name] = compare_baseline(report, baseline, tool=name)
 
     return AnalyzeResult(
         files=list(project.files),

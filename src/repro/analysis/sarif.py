@@ -1,16 +1,16 @@
-"""Shared SARIF 2.1.0 exporter for the static layers (keylint, keyflow).
+"""Shared SARIF 2.1.0 exporter for every static layer.
 
 One builder produces the minimal-but-valid subset of SARIF that GitHub
 code scanning ingests via ``github/codeql-action/upload-sarif``: a
 single run with ``tool.driver`` metadata, a rule table, and results
-with physical locations.  Both analyzers funnel through
+with physical locations.  keylint and all IR layers funnel through
 :func:`sarif_log` so their outputs stay structurally identical and a
-single :func:`validate_sarif` covers both in tests and CI.
+single :func:`validate_sarif` covers them all in tests and CI.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Sequence
 
 SARIF_VERSION = "2.1.0"
 SARIF_SCHEMA = (
@@ -49,8 +49,6 @@ def sarif_log(
     tool_name: str,
     rules: Mapping[str, str],
     results: Sequence[Dict[str, object]],
-    tool_version: str = "0.1.0",
-    information_uri: Optional[str] = None,
 ) -> Dict[str, object]:
     """A complete single-run SARIF 2.1.0 log.
 
@@ -59,7 +57,7 @@ def sarif_log(
     """
     driver: Dict[str, object] = {
         "name": tool_name,
-        "version": tool_version,
+        "version": "0.1.0",
         "rules": [
             {
                 "id": rule_id,
@@ -68,8 +66,6 @@ def sarif_log(
             for rule_id, description in sorted(rules.items())
         ],
     }
-    if information_uri is not None:
-        driver["informationUri"] = information_uri
     return {
         "version": SARIF_VERSION,
         "$schema": SARIF_SCHEMA,
@@ -87,8 +83,8 @@ def merge_sarif_logs(logs: Sequence[Dict[str, object]]) -> Dict[str, object]:
 
     SARIF models exactly this: one ``runs`` entry per tool.  GitHub's
     upload action ingests the merged document in a single call, which
-    is how ``repro analyze`` ships keylint + KeyFlow + KeyState +
-    KeyCount results as one artifact.  Run order is preserved;
+    is how ``repro analyze`` ships every layer's results as one
+    artifact.  Run order is preserved;
     :func:`validate_sarif` already checks every run independently."""
     if not logs:
         raise ValueError("merge_sarif_logs: need at least one log")

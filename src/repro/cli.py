@@ -174,6 +174,12 @@ def _emit(text: str, out: Optional[str]) -> None:
         print(text, end="" if text.endswith("\n") else "\n")
 
 
+def _report_syntax_error(exc: SyntaxError) -> int:
+    """An unparsable target file is bad input (exit 2), not a finding."""
+    print(f"{exc.filename}:{exc.lineno}: SyntaxError: {exc.msg}", file=sys.stderr)
+    return 2
+
+
 def cmd_lint(args: argparse.Namespace) -> int:
     import json
     from pathlib import Path
@@ -186,6 +192,8 @@ def cmd_lint(args: argparse.Namespace) -> int:
         paths = [Path(__file__).resolve().parent]
     try:
         violations = lint_paths(paths)
+    except SyntaxError as exc:
+        return _report_syntax_error(exc)
     except FileNotFoundError as exc:
         print(exc, file=sys.stderr)
         return 2
@@ -196,58 +204,37 @@ def cmd_lint(args: argparse.Namespace) -> int:
     return 1 if violations else 0
 
 
-def cmd_keyflow(args: argparse.Namespace) -> int:
-    from repro.analysis.toolcli import run_analysis_tool
-
-    return run_analysis_tool("keyflow", args)
-
-
-def cmd_keystate(args: argparse.Namespace) -> int:
-    from repro.analysis.toolcli import run_analysis_tool
-
-    return run_analysis_tool("keystate", args)
-
-
-def cmd_keycount(args: argparse.Namespace) -> int:
-    from repro.analysis.toolcli import run_analysis_tool
-
-    return run_analysis_tool("keycount", args)
-
-
-def cmd_keyrecon(args: argparse.Namespace) -> int:
-    from repro.analysis.toolcli import run_analysis_tool
-
-    return run_analysis_tool("keyrecon", args)
-
-
-def cmd_keyspan(args: argparse.Namespace) -> int:
-    from repro.analysis.toolcli import run_analysis_tool
-
-    return run_analysis_tool("keyspan", args)
-
-
 def cmd_analyze(args: argparse.Namespace) -> int:
-    import json
     from pathlib import Path
 
-    from repro.analysis.runall import parse_layers, run_all
+    from repro.analysis.baseline import load_baseline, write_baseline
+    from repro.analysis.runall import baseline_path, parse_layers, run_all
 
     paths = [Path(p) for p in args.paths] if args.paths else None
     try:
-        layers = parse_layers(getattr(args, "layers", None))
+        layers = parse_layers(args.layers)
         result = run_all(paths=paths, check=args.check, layers=layers)
-    except (FileNotFoundError, ValueError) as exc:
+    except SyntaxError as exc:
+        return _report_syntax_error(exc)
+    except (OSError, ValueError) as exc:
+        # A missing target, or a baseline the loader rejects: the gate
+        # itself is broken, which is exit 2, never drift's exit 1.
         print(exc, file=sys.stderr)
         return 2
-    if args.format == "sarif":
-        _emit(json.dumps(result.to_sarif(), indent=2) + "\n", args.out)
-    elif args.format == "json":
-        _emit(
-            json.dumps(result.to_json_dict(), indent=2, sort_keys=True) + "\n",
-            args.out,
-        )
-    else:
-        _emit(result.render_text(), args.out)
+    _emit(result.render(args.format), args.out)
+    if args.write_baseline:
+        try:
+            for name in result.ran_tools:
+                path = baseline_path(name)
+                write_baseline(
+                    result.reports[name], path,
+                    existing=load_baseline(path), tool=name,
+                )
+                print(f"{name}: baseline written to {path}", file=sys.stderr)
+        except (OSError, ValueError) as exc:
+            print(exc, file=sys.stderr)
+            return 2
+        return 0
     if args.check:
         return 0 if result.ok else 1
     return 0
@@ -784,45 +771,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="max diagnostics to list individually")
     taint.set_defaults(func=cmd_taint)
 
-    from repro.analysis.toolcli import add_analysis_arguments
-
-    keyflow = sub.add_parser(
-        "keyflow",
-        help="static interprocedural taint analysis of key material",
-    )
-    add_analysis_arguments(keyflow)
-    keyflow.set_defaults(func=cmd_keyflow)
-
-    keystate = sub.add_parser(
-        "keystate",
-        help="static interprocedural typestate verification of the "
-             "mitigation-API lifecycle",
-    )
-    add_analysis_arguments(keystate)
-    keystate.set_defaults(func=cmd_keystate)
-
-    keycount = sub.add_parser(
-        "keycount",
-        help="quantitative static copy-bound analysis per protection level",
-    )
-    add_analysis_arguments(keycount)
-    keycount.set_defaults(func=cmd_keycount)
-
-    keyrecon = sub.add_parser(
-        "keyrecon",
-        help="static reconstructability analysis of derived key fragments",
-    )
-    add_analysis_arguments(keyrecon)
-    keyrecon.set_defaults(func=cmd_keyrecon)
-
-    keyspan = sub.add_parser(
-        "keyspan",
-        help="static exposure-window analysis: symbolic mint→scrub tick "
-             "bounds per protection level",
-    )
-    add_analysis_arguments(keyspan)
-    keyspan.set_defaults(func=cmd_keyspan)
-
     analyze = sub.add_parser(
         "analyze",
         help="run the whole static stack (keylint+KeyFlow+KeyState+"
@@ -850,6 +798,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--layers", default=None,
         help="comma-separated subset of layers to run over the one IR "
              "build (default: all; e.g. --layers keylint,keyflow)",
+    )
+    analyze.add_argument(
+        "--write-baseline", action="store_true",
+        help="rewrite each selected IR layer's packaged baseline from "
+             "this run (keeps existing justifications)",
     )
     analyze.set_defaults(func=cmd_analyze)
 

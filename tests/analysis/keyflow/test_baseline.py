@@ -1,17 +1,16 @@
-"""Baseline gate: clean on the shipped tree, drifts on new/stale/leaky."""
+"""KeyFlow baseline gate: a reviewed shipped baseline that drifts on
+new/stale/leaky findings (the shipped tree's gate runs once for every layer, in
+test_runall)."""
 
 import json
 
-import pytest
-
-from repro.analysis.keyflow import (
-    analyze,
-    compare_baseline,
-    load_baseline,
-    write_baseline,
-)
-from repro.analysis.keyflow.baseline import DEFAULT_BASELINE_PATH
+from repro.analysis.baseline import compare_baseline, load_baseline
+from repro.analysis.keyflow import analyze
 from repro.analysis.keyflow.engine import REPRO_ROOT
+from repro.analysis.runall import baseline_path
+from tests.analysis.baseline_contract import BaselineFileContract
+
+SHIPPED = baseline_path("keyflow")
 
 LEAKY_FIXTURE = (
     "def deliberately_leaky(mm, path):\n"
@@ -21,20 +20,15 @@ LEAKY_FIXTURE = (
 
 
 class TestShippedBaseline:
-    def test_shipped_tree_is_clean_against_baseline(self):
-        report = analyze()
-        drift = compare_baseline(report, load_baseline())
-        assert drift.ok, drift.render_text()
-
     def test_every_entry_has_a_distinct_justification_body(self):
-        baseline = load_baseline()
+        baseline = load_baseline(SHIPPED)
         assert baseline, "shipped baseline must not be empty"
         for finding_id, justification in baseline.items():
             assert justification.strip(), finding_id
             assert "TODO" not in justification, finding_id
 
     def test_baseline_file_is_sorted_and_stable(self):
-        payload = json.loads(DEFAULT_BASELINE_PATH.read_text(encoding="utf-8"))
+        payload = json.loads(SHIPPED.read_text(encoding="utf-8"))
         ids = list(payload["findings"])
         assert ids == sorted(ids)
 
@@ -46,7 +40,7 @@ class TestDrift:
         # NEW finding naming it.
         (tmp_path / "leaky_fixture.py").write_text(LEAKY_FIXTURE, encoding="utf-8")
         report = analyze(paths=[REPRO_ROOT, tmp_path])
-        drift = compare_baseline(report, load_baseline())
+        drift = compare_baseline(report, load_baseline(SHIPPED), tool="keyflow")
         assert not drift.ok
         assert (
             "tainted-flow:leaky_fixture.deliberately_leaky:write:memory-write"
@@ -61,7 +55,7 @@ class TestDrift:
             "tainted-flow:mod.deliberately_leaky:write:memory-write": "known",
             "tainted-flow:mod.gone:write:memory-write": "flow that no longer exists",
         }
-        drift = compare_baseline(report, baseline)
+        drift = compare_baseline(report, baseline, tool="keyflow")
         assert not drift.ok
         assert drift.new == []
         assert drift.stale == ["tainted-flow:mod.gone:write:memory-write"]
@@ -69,28 +63,12 @@ class TestDrift:
     def test_drift_rendering_names_both_directions(self, tmp_path):
         (tmp_path / "mod.py").write_text(LEAKY_FIXTURE, encoding="utf-8")
         report = analyze(paths=[tmp_path])
-        drift = compare_baseline(report, {"bogus:id:x": "stale entry"})
+        drift = compare_baseline(
+            report, {"bogus:id:x": "stale entry"}, tool="keyflow"
+        )
         text = drift.render_text()
         assert "NEW" in text and "STALE" in text
 
 
-class TestBaselineFile:
-    def test_empty_justification_is_rejected(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text(
-            json.dumps({"findings": {"tainted-flow:mod.f:write:memory-write": ""}}),
-            encoding="utf-8",
-        )
-        with pytest.raises(ValueError, match="blanket suppression"):
-            load_baseline(path)
-
-    def test_write_preserves_existing_justifications(self, tmp_path):
-        (tmp_path / "mod.py").write_text(LEAKY_FIXTURE, encoding="utf-8")
-        report = analyze(paths=[tmp_path])
-        path = tmp_path / "baseline.json"
-        finding_id = "tainted-flow:mod.deliberately_leaky:write:memory-write"
-        write_baseline(report, path, existing={finding_id: "reviewed: fixture"})
-        assert load_baseline(path)[finding_id] == "reviewed: fixture"
-
-    def test_missing_baseline_is_empty(self, tmp_path):
-        assert load_baseline(tmp_path / "nope.json") == {}
+class TestBaselineFile(BaselineFileContract):
+    layer = "keyflow"

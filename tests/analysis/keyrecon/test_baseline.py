@@ -1,15 +1,16 @@
-"""Baseline gate: clean on the shipped tree, drifts on new/stale sites."""
+"""KeyRecon baseline gate: a reviewed shipped baseline that drifts on
+new/stale sites (the shipped tree's gate runs once for every layer, in
+test_runall)."""
 
 import json
 
-from repro.analysis.keyrecon import (
-    analyze,
-    compare_baseline,
-    load_baseline,
-    write_baseline,
-)
-from repro.analysis.keyrecon.baseline import DEFAULT_BASELINE_PATH
+from repro.analysis.baseline import compare_baseline, load_baseline, write_baseline
+from repro.analysis.keyrecon import analyze
 from repro.analysis.keyrecon.engine import REPRO_ROOT
+from repro.analysis.runall import baseline_path
+from tests.analysis.baseline_contract import BaselineFileContract
+
+SHIPPED = baseline_path("keyrecon")
 
 MINTING_FIXTURE = (
     "def deliberately_minting(process, bits):\n"
@@ -24,20 +25,15 @@ MINTING_ID = (
 
 
 class TestShippedBaseline:
-    def test_shipped_tree_is_clean_against_baseline(self):
-        report = analyze()
-        drift = compare_baseline(report, load_baseline())
-        assert drift.ok, drift.render_text()
-
     def test_every_entry_has_a_distinct_justification_body(self):
-        baseline = load_baseline()
+        baseline = load_baseline(SHIPPED)
         assert baseline, "shipped baseline must not be empty"
         for finding_id, justification in baseline.items():
             assert justification.strip(), finding_id
             assert "TODO" not in justification, finding_id
 
     def test_baseline_file_is_sorted_and_stable(self):
-        payload = json.loads(DEFAULT_BASELINE_PATH.read_text(encoding="utf-8"))
+        payload = json.loads(SHIPPED.read_text(encoding="utf-8"))
         ids = list(payload["findings"])
         assert ids == sorted(ids)
         assert payload["tool"] == "keyrecon"
@@ -47,7 +43,7 @@ class TestShippedBaseline:
         rsa_memory_align call sites are flagged as concentrators."""
         concentration = [
             finding_id
-            for finding_id in load_baseline()
+            for finding_id in load_baseline(SHIPPED)
             if finding_id.startswith("fragment-concentration:")
         ]
         assert len(concentration) == 3
@@ -60,7 +56,7 @@ class TestDrift:
             MINTING_FIXTURE, encoding="utf-8"
         )
         report = analyze(paths=[REPRO_ROOT, tmp_path])
-        drift = compare_baseline(report, load_baseline())
+        drift = compare_baseline(report, load_baseline(SHIPPED), tool="keyrecon")
         assert not drift.ok
         assert MINTING_ID in drift.new
         assert drift.stale == []
@@ -75,7 +71,7 @@ class TestDrift:
             "full-key-reconstructible:minting_fixture.vanished:keygen:factor":
                 "no longer exists",
         }
-        drift = compare_baseline(report, baseline)
+        drift = compare_baseline(report, baseline, tool="keyrecon")
         assert not drift.ok
         assert drift.new == []
         assert drift.stale == [
@@ -88,8 +84,13 @@ class TestDrift:
         )
         report = analyze(paths=[tmp_path])
         path = tmp_path / "baseline.json"
-        write_baseline(report, path)
+        write_baseline(report, path, tool="keyrecon")
         payload = json.loads(path.read_text(encoding="utf-8"))
         assert set(payload["findings"]) == set(report.finding_ids())
-        drift = compare_baseline(report, json.loads(path.read_text())["findings"])
+        recorded = json.loads(path.read_text())["findings"]
+        drift = compare_baseline(report, recorded, tool="keyrecon")
         assert drift.ok
+
+
+class TestBaselineFile(BaselineFileContract):
+    layer = "keyrecon"

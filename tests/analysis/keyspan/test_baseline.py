@@ -1,15 +1,16 @@
-"""Baseline gate: clean on the shipped tree, drifts on new/stale sites."""
+"""KeySpan baseline gate: a reviewed shipped baseline that drifts on
+new/stale sites (the shipped tree's gate runs once for every layer, in
+test_runall)."""
 
 import json
 
-from repro.analysis.keyspan import (
-    analyze,
-    compare_baseline,
-    load_baseline,
-    write_baseline,
-)
-from repro.analysis.keyspan.baseline import DEFAULT_BASELINE_PATH
+from repro.analysis.baseline import compare_baseline, load_baseline, write_baseline
+from repro.analysis.keyspan import analyze
 from repro.analysis.keyspan.engine import REPRO_ROOT
+from repro.analysis.runall import baseline_path
+from tests.analysis.baseline_contract import BaselineFileContract
+
+SHIPPED = baseline_path("keyspan")
 
 MINTING_FIXTURE = (
     "def deliberately_minting(process, blob):\n"
@@ -19,20 +20,15 @@ MINTING_FIXTURE = (
 
 
 class TestShippedBaseline:
-    def test_shipped_tree_is_clean_against_baseline(self):
-        report = analyze()
-        drift = compare_baseline(report, load_baseline())
-        assert drift.ok, drift.render_text()
-
     def test_every_entry_has_a_distinct_justification_body(self):
-        baseline = load_baseline()
+        baseline = load_baseline(SHIPPED)
         assert baseline, "shipped baseline must not be empty"
         for finding_id, justification in baseline.items():
             assert justification.strip(), finding_id
             assert "TODO" not in justification, finding_id
 
     def test_baseline_file_is_sorted_and_stable(self):
-        payload = json.loads(DEFAULT_BASELINE_PATH.read_text(encoding="utf-8"))
+        payload = json.loads(SHIPPED.read_text(encoding="utf-8"))
         ids = list(payload["findings"])
         assert ids == sorted(ids)
         assert payload["tool"] == "keyspan"
@@ -44,7 +40,7 @@ class TestDrift:
             MINTING_FIXTURE, encoding="utf-8"
         )
         report = analyze(paths=[REPRO_ROOT, tmp_path])
-        drift = compare_baseline(report, load_baseline())
+        drift = compare_baseline(report, load_baseline(SHIPPED), tool="keyspan")
         assert not drift.ok
         assert (
             "crt-part:minting_fixture.deliberately_minting:bn_bin2bn#0"
@@ -59,7 +55,7 @@ class TestDrift:
             "crt-part:mod.deliberately_minting:bn_bin2bn#0": "the fixture",
             "crt-part:mod.vanished:bn_bin2bn#0": "no longer exists",
         }
-        drift = compare_baseline(report, baseline)
+        drift = compare_baseline(report, baseline, tool="keyspan")
         assert not drift.ok
         assert drift.new == []
         assert drift.stale == ["crt-part:mod.vanished:bn_bin2bn#0"]
@@ -68,6 +64,10 @@ class TestDrift:
         (tmp_path / "mod.py").write_text(MINTING_FIXTURE, encoding="utf-8")
         report = analyze(paths=[tmp_path])
         path = tmp_path / "baseline.json"
-        write_baseline(report, path)
+        write_baseline(report, path, tool="keyspan")
         payload = json.loads(path.read_text(encoding="utf-8"))
         assert set(payload["findings"]) == set(report.finding_ids())
+
+
+class TestBaselineFile(BaselineFileContract):
+    layer = "keyspan"

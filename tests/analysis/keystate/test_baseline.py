@@ -1,18 +1,16 @@
-"""KeyState baseline gate: clean on the shipped tree, drifts on
-new/stale entries, and shares the no-blanket-suppression semantics."""
+"""KeyState baseline gate: a reviewed shipped baseline that drifts on
+new/stale entries (the shipped tree's gate runs once for every layer, in
+test_runall)."""
 
 import json
 
-import pytest
-
-from repro.analysis.keystate import (
-    analyze,
-    compare_baseline,
-    load_baseline,
-    write_baseline,
-)
-from repro.analysis.keystate.baseline import DEFAULT_BASELINE_PATH
+from repro.analysis.baseline import compare_baseline, load_baseline
+from repro.analysis.keystate import analyze
 from repro.analysis.keystate.engine import REPRO_ROOT
+from repro.analysis.runall import baseline_path
+from tests.analysis.baseline_contract import BaselineFileContract
+
+SHIPPED = baseline_path("keystate")
 
 SEEDED_FIXTURE = (
     "def load_and_serve(process, msg):\n"
@@ -23,26 +21,23 @@ SEEDED_ID = "serve-before-align:{mod}.load_and_serve:new:RsaStruct:serve"
 
 
 class TestShippedBaseline:
-    def test_shipped_tree_is_clean_against_baseline(self):
-        report = analyze()
-        drift = compare_baseline(report, load_baseline())
-        assert drift.ok, drift.render_text()
-
     def test_every_entry_has_a_justification_body(self):
-        baseline = load_baseline()
+        baseline = load_baseline(SHIPPED)
         assert baseline, "shipped baseline must not be empty"
         for finding_id, justification in baseline.items():
             assert justification.strip(), finding_id
             assert "TODO" not in justification, finding_id
 
     def test_baseline_file_is_sorted_and_tool_tagged(self):
-        payload = json.loads(DEFAULT_BASELINE_PATH.read_text(encoding="utf-8"))
+        payload = json.loads(SHIPPED.read_text(encoding="utf-8"))
         assert payload["tool"] == "keystate"
         ids = list(payload["findings"])
         assert ids == sorted(ids)
 
     def test_shipped_baseline_spans_all_three_protocols(self):
-        rules = {finding_id.split(":", 1)[0] for finding_id in load_baseline()}
+        rules = {
+            finding_id.split(":", 1)[0] for finding_id in load_baseline(SHIPPED)
+        }
         assert {"serve-before-align", "keyfile-no-nocache", "temp-unscrubbed"} <= rules
 
 
@@ -50,7 +45,7 @@ class TestDrift:
     def test_seeded_ordering_bug_fails_the_check(self, tmp_path):
         (tmp_path / "seeded.py").write_text(SEEDED_FIXTURE, encoding="utf-8")
         report = analyze(paths=[REPRO_ROOT, tmp_path])
-        drift = compare_baseline(report, load_baseline())
+        drift = compare_baseline(report, load_baseline(SHIPPED), tool="keystate")
         assert not drift.ok
         assert SEEDED_ID.format(mod="seeded") in drift.new
         assert drift.stale == []
@@ -62,7 +57,7 @@ class TestDrift:
             SEEDED_ID.format(mod="mod"): "seeded fixture",
             "double-free:mod.gone:new:RsaStruct:free": "function was removed",
         }
-        drift = compare_baseline(report, baseline)
+        drift = compare_baseline(report, baseline, tool="keystate")
         assert not drift.ok
         assert drift.new == []
         assert drift.stale == ["double-free:mod.gone:new:RsaStruct:free"]
@@ -70,30 +65,13 @@ class TestDrift:
     def test_drift_rendering_names_the_tool_and_directions(self, tmp_path):
         (tmp_path / "mod.py").write_text(SEEDED_FIXTURE, encoding="utf-8")
         report = analyze(paths=[tmp_path])
-        drift = compare_baseline(report, {"bogus:id:x": "stale entry"})
+        drift = compare_baseline(
+            report, {"bogus:id:x": "stale entry"}, tool="keystate"
+        )
         text = drift.render_text()
         assert text.startswith("keystate baseline:")
         assert "NEW" in text and "STALE" in text
 
 
-class TestBaselineFile:
-    def test_empty_justification_is_rejected(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text(
-            json.dumps({"findings": {SEEDED_ID.format(mod="mod"): ""}}),
-            encoding="utf-8",
-        )
-        with pytest.raises(ValueError, match="blanket suppression"):
-            load_baseline(path)
-
-    def test_write_preserves_existing_justifications(self, tmp_path):
-        (tmp_path / "mod.py").write_text(SEEDED_FIXTURE, encoding="utf-8")
-        report = analyze(paths=[tmp_path])
-        path = tmp_path / "baseline.json"
-        finding_id = SEEDED_ID.format(mod="mod")
-        write_baseline(report, path, existing={finding_id: "reviewed: fixture"})
-        assert load_baseline(path)[finding_id] == "reviewed: fixture"
-        assert json.loads(path.read_text())["tool"] == "keystate"
-
-    def test_missing_baseline_is_empty(self, tmp_path):
-        assert load_baseline(tmp_path / "nope.json") == {}
+class TestBaselineFile(BaselineFileContract):
+    layer = "keystate"

@@ -1,17 +1,17 @@
-"""The shared CLI exit-code contract, across every baseline-gated tool.
+"""The ``repro analyze`` exit-code contract, across every IR layer.
 
 Exit codes are API: CI branches on them.  The contract is
 
 * ``0`` — analysis ran, gate (if requested) is clean;
 * ``1`` — **drift only**: a healthy run against a healthy baseline
   that disagree (new or stale findings);
-* ``2`` — bad input: unreadable analysis target, an explicit
-  ``--baseline`` that does not exist, or a baseline file the loader
-  rejects (malformed JSON, empty justification).
+* ``2`` — bad input: an unreadable or unparsable analysis target, or
+  a baseline file the loader rejects (malformed JSON, empty
+  justification).
 
-Every tool front end funnels through :func:`run_analysis_tool`, so one
-parametrized suite pins all five at once — a regression here means a
-CI job starts mistaking "the gate itself is broken" for "review the
+Each case runs ``analyze --check --layers <layer>`` with the layer's
+baseline path pointed at a scratch file.  A regression here means a CI
+job starts mistaking "the gate itself is broken" for "review the
 findings" (or vice versa).
 """
 
@@ -19,7 +19,10 @@ import json
 
 import pytest
 
-from repro.analysis.toolcli import BASELINE_TOOLS, make_standalone_main
+from repro.analysis import runall
+from repro.cli import main
+
+IR_LAYERS = runall.LAYERS[1:]
 
 
 @pytest.fixture(scope="module")
@@ -32,26 +35,29 @@ def tiny_tree(tmp_path_factory):
     return root
 
 
-def _run(tool: str, argv):
-    return make_standalone_main(tool, f"{tool} under test")(argv)
+@pytest.fixture
+def baseline(tmp_path, monkeypatch):
+    """The scratch file every layer's baseline path resolves to."""
+    path = tmp_path / "baseline.json"
+    monkeypatch.setattr(runall, "baseline_path", lambda layer: path)
+    return path
 
 
-@pytest.mark.parametrize("tool", BASELINE_TOOLS)
+def _gate(tool, target):
+    return main(["analyze", "--check", "--layers", tool, str(target)])
+
+
+@pytest.mark.parametrize("tool", IR_LAYERS)
 class TestExitCodeContract:
-    def test_clean_gate_is_zero(self, tool, tiny_tree, tmp_path):
-        baseline = tmp_path / "baseline.json"
+    def test_clean_gate_is_zero(self, tool, tiny_tree, baseline):
         baseline.write_text(
             json.dumps({"tool": tool, "findings": {}}), encoding="utf-8"
         )
-        assert _run(tool, [
-            str(tiny_tree), "--out", str(tmp_path / "report.txt"),
-            "--baseline", str(baseline), "--check-baseline",
-        ]) == 0
+        assert _gate(tool, tiny_tree) == 0
 
-    def test_drift_is_one(self, tool, tiny_tree, tmp_path, capsys):
+    def test_drift_is_one(self, tool, tiny_tree, baseline, capsys):
         # A stale reviewed entry (the finding no longer exists) is
         # drift: the baseline must be updated, the gate itself is fine.
-        baseline = tmp_path / "baseline.json"
         baseline.write_text(
             json.dumps({
                 "tool": tool,
@@ -59,33 +65,46 @@ class TestExitCodeContract:
             }),
             encoding="utf-8",
         )
-        assert _run(tool, [
-            str(tiny_tree), "--out", str(tmp_path / "report.txt"),
-            "--baseline", str(baseline), "--check-baseline",
-        ]) == 1
-        assert "STALE" in capsys.readouterr().err
+        assert _gate(tool, tiny_tree) == 1
+        assert "STALE" in capsys.readouterr().out
 
-    def test_missing_explicit_baseline_is_two(self, tool, tiny_tree, tmp_path):
-        assert _run(tool, [
-            str(tiny_tree), "--out", str(tmp_path / "report.txt"),
-            "--baseline", str(tmp_path / "nope.json"), "--check-baseline",
-        ]) == 2
-
-    def test_malformed_baseline_is_two(self, tool, tiny_tree, tmp_path):
+    def test_malformed_baseline_is_two(self, tool, tiny_tree, baseline):
         # An empty justification is a blanket suppression: the loader
         # rejects it, and that is a broken gate (2), never drift (1).
-        baseline = tmp_path / "baseline.json"
         baseline.write_text(
             json.dumps({"tool": tool, "findings": {"some:finding": "  "}}),
             encoding="utf-8",
         )
-        assert _run(tool, [
-            str(tiny_tree), "--out", str(tmp_path / "report.txt"),
-            "--baseline", str(baseline), "--check-baseline",
-        ]) == 2
+        assert _gate(tool, tiny_tree) == 2
 
     def test_unreadable_target_is_two(self, tool, tmp_path):
-        assert _run(tool, [
-            str(tmp_path / "no-such-tree"),
-            "--out", str(tmp_path / "report.txt"),
-        ]) == 2
+        assert _gate(tool, tmp_path / "no-such-tree") == 2
+
+    def test_syntax_error_is_two(self, tool, tmp_path, capsys):
+        (tmp_path / "broken.py").write_text("def f(:\n", encoding="utf-8")
+        assert _gate(tool, tmp_path) == 2
+        assert "broken.py:1: SyntaxError:" in capsys.readouterr().err
+
+
+def test_write_baseline_keeps_justifications(tmp_path, monkeypatch):
+    (tmp_path / "mod.py").write_text(
+        "def deliberately_leaky(mm, path):\n"
+        "    der = pem_decode(path)\n"
+        "    mm.write(0, der)\n",
+        encoding="utf-8",
+    )
+    written = {layer: tmp_path / f"{layer}.json" for layer in IR_LAYERS}
+    monkeypatch.setattr(runall, "baseline_path", written.__getitem__)
+    kept = "tainted-flow:mod.deliberately_leaky:write:memory-write"
+    written["keyflow"].write_text(
+        json.dumps({"tool": "keyflow", "findings": {kept: "reviewed"}}),
+        encoding="utf-8",
+    )
+    argv = ["analyze", "--layers", "keylint,keyflow,keycount", str(tmp_path)]
+    assert main(argv + ["--write-baseline"]) == 0
+    assert sorted(p.stem for p in written.values() if p.exists()) == [
+        "keycount", "keyflow"
+    ]
+    payload = json.loads(written["keyflow"].read_text(encoding="utf-8"))
+    assert payload == {"tool": "keyflow", "findings": {kept: "reviewed"}}
+    assert main(argv + ["--check"]) == 0

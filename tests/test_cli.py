@@ -113,6 +113,7 @@ class TestCommands:
         ) == 2
         assert "--attacker applies" in capsys.readouterr().err
 
-    def test_keyrecon_clean_tree(self, capsys):
-        assert main(["keyrecon", "--check-baseline"]) == 0
-        assert "clean" in capsys.readouterr().out
+    def test_lint_syntax_error_is_bad_input(self, tmp_path, capsys):
+        (tmp_path / "broken.py").write_text("def f(:\n", encoding="utf-8")
+        assert main(["lint", str(tmp_path)]) == 2
+        assert "broken.py:1: SyntaxError:" in capsys.readouterr().err

@@ -21,11 +21,10 @@ the paper's timing:
   copy.
 
 * **Sparse scanning.**  Most of a machine's RAM is zero.
-  :func:`nonzero_intervals` locates the all-zero stretches with
-  galloping C-speed compares, and :func:`find_all_sparse` then probes
-  each pattern only inside windows that can actually contain a match —
-  one cheap pass shared by every pattern instead of one full
-  ``find`` pass per pattern.
+  :func:`nonzero_intervals` locates a dump's all-zero stretches with
+  galloping C-speed compares (live RAM updates its cover per written
+  frame instead), and :func:`find_all_sparse` probes each pattern only
+  inside windows that can contain a match: one cover per scan.
 """
 
 from __future__ import annotations
@@ -174,8 +173,8 @@ def nonzero_intervals(
     runs shorter than ``gap`` are conservatively kept *inside* an
     interval (detecting them would cost more than scanning them).  The
     complement is found with ``find`` of a ``gap``-byte zero block plus
-    galloping block compares — a fraction of a full search pass, shared
-    by every pattern that later probes the intervals.
+    galloping block compares, a fraction of a full search pass.  Live
+    RAM keeps its cover per frame instead (``PhysicalMemory``).
     """
     if gap <= 0:
         raise ValueError("gap must be positive")

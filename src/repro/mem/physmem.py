@@ -14,14 +14,12 @@ paper's "about 5 seconds to scan the 256MB memory" observation.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Sequence, Tuple
+from itertools import compress
+from operator import ne
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from repro.errors import BadAddressError
-from repro.mem.bytesearch import (
-    find_all_occurrences,
-    find_all_sparse,
-    nonzero_intervals,
-)
+from repro.mem.bytesearch import ZERO_GAP, find_all_occurrences, find_all_sparse
 
 #: Page size in bytes.  Matches the x86 kernel the paper patched.
 PAGE_SIZE = 4096
@@ -50,6 +48,10 @@ class PhysicalMemory:
         #: (the scanner's cached re-scan path) compare them against a
         #: snapshot to find exactly the frames that changed.
         self._frame_gen = [0] * num_frames
+        #: nonzero_intervals' cache: each data-bearing frame's span.
+        self._spans: Dict[int, Tuple[int, int]] = {}
+        self._span_gen = [0] * num_frames
+        self._intervals: List[Tuple[int, int]] = []
         #: Optional KeySan hook target.  Every mutator below notifies it,
         #: and mutation happens *only* through these five methods, which
         #: is what makes the taint shadow exact.
@@ -176,22 +178,45 @@ class PhysicalMemory:
         return find_all_occurrences(self._data, pattern, start, end)
 
     def nonzero_intervals(self) -> List[Tuple[int, int]]:
-        """Maximal ``[lo, hi)`` byte ranges holding any nonzero data.
+        """Sorted ``[lo, hi)`` byte ranges covering every nonzero byte,
+        for every pattern of a scan to share via :meth:`find_all_sparse`.
 
-        One cheap pass over RAM that every pattern of a multi-pattern
-        scan can share through :meth:`find_all_sparse` — most of a
-        machine's memory is zero-filled and never worth searching.
-        """
-        return nonzero_intervals(self._data)
+        Incremental over the frame generations: only frames written
+        since the last call are read again (generation 0 = never written
+        = zero), an all-zero one with one in-place compare."""
+        gens, size = self._frame_gen, self.page_size
+        if gens != self._span_gen:
+            zero = bytes(size)
+            changed = map(ne, gens, self._span_gen)
+            for frame in compress(range(self.num_frames), changed):
+                base = frame * size
+                if self._data.startswith(zero, base):
+                    self._spans.pop(frame, None)
+                    continue
+                page = self._data[base : base + size]
+                self._spans[frame] = (
+                    base + size - len(page.lstrip(b"\0")),
+                    base + len(page.rstrip(b"\0")),
+                )
+            self._span_gen = list(gens)
+            merged: List[Tuple[int, int]] = []
+            for frame in sorted(self._spans):
+                lo, hi = self._spans[frame]
+                if merged and lo - merged[-1][1] < ZERO_GAP:
+                    merged[-1] = (merged[-1][0], hi)
+                else:
+                    merged.append((lo, hi))
+            self._intervals = merged
+        return list(self._intervals)
 
     def find_all_sparse(
         self, pattern: bytes, intervals: List[Tuple[int, int]]
     ) -> List[int]:
         """:meth:`find_all`, probing only around ``intervals``.
 
-        ``intervals`` must come from :meth:`nonzero_intervals` (taken
-        while RAM was in its current state); the result is then
-        byte-identical to a full :meth:`find_all` pass.
+        ``intervals`` must cover every nonzero byte of RAM in its
+        current state (:meth:`nonzero_intervals` does); the result is
+        then byte-identical to a full :meth:`find_all` pass.
         """
         return find_all_sparse(self._data, pattern, intervals)
 

@@ -36,6 +36,9 @@ class SwapDevice:
         # Invariant: a slot is on the heap iff it is not used; pushes
         # happen only on used -> free transitions, so no duplicates.
         self._free_heap: List[int] = list(range(num_slots))
+        #: One past the highest slot ever written: the device beyond it
+        #: is all zero, so searches stop there (see _search_end).
+        self._high_water = 0
         self.swap_outs = 0
         self.swap_ins = 0
         #: Fault injector (``repro.faults``); arms the swap-full,
@@ -68,6 +71,7 @@ class SwapDevice:
             raise SwapError("injected swap-full on swap_out")
         slot = self._find_free_slot()
         base = slot * self.page_size
+        self._high_water = max(self._high_water, slot + 1)
         if self.faults is not None and self.faults.tick("swap.torn"):
             # Torn write: half the page lands, then the device errors.
             # The slot stays claimed (nothing reconciles it), holding a
@@ -155,19 +159,34 @@ class SwapDevice:
         return sorted(slot for slot, used in self._used.items() if used)
 
     def free_slots(self) -> int:
-        return self.num_slots - len(self.used_slots())
+        return len(self._free_heap)
+
+    def _search_end(self, pattern: bytes) -> int:
+        """Where a search for ``pattern`` can stop.  Past the high-water
+        mark the device is all zero, so a match holding any nonzero byte
+        ends less than ``len(pattern)`` bytes beyond it."""
+        if not pattern:
+            raise ValueError("empty search pattern")
+        if not pattern.strip(b"\0"):
+            return len(self._store)
+        end = self._high_water * self.page_size + len(pattern) - 1
+        return min(len(self._store), end)
 
     def find_pattern(self, pattern: bytes) -> List[int]:
         """Byte offsets of ``pattern`` anywhere in the swap area
         (including slots already released but never scrubbed)."""
-        if not pattern:
-            raise ValueError("empty search pattern")
+        end = self._search_end(pattern)
         hits: List[int] = []
-        pos = self._store.find(pattern)
+        pos = self._store.find(pattern, 0, end)
         while pos != -1:
             hits.append(pos)
-            pos = self._store.find(pattern, pos + 1)
+            pos = self._store.find(pattern, pos + 1, end)
         return hits
+
+    def count_pattern(self, pattern: bytes) -> int:
+        """Non-overlapping occurrences of ``pattern`` in the swap area,
+        counted in place (the census KeySan reports as swap hits)."""
+        return self._store.count(pattern, 0, self._search_end(pattern))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SwapDevice(slots={self.num_slots}, used={len(self.used_slots())})"

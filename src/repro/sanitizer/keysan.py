@@ -31,7 +31,9 @@ strict superset of the scanner — the basis for `TaintReport.cross_check`.
 from __future__ import annotations
 
 import sys
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from repro.sanitizer.lifecycle import LifecycleMonitor
@@ -571,12 +573,12 @@ class KeySan:
         :class:`~repro.attacks.keysearch.KeyPatternSet`) selects which
         byte patterns the full/untracked copy census uses, so the
         numbers are directly comparable with a
-        :class:`~repro.attacks.scanner.ScanReport`.
+        :class:`~repro.attacks.scanner.ScanReport`.  Each pattern is
+        searched once, sparsely, as the scanner does (no RAM copy).
         """
         physmem = self.kernel.physmem
         page_size = physmem.page_size
         report = TaintReport()
-        report.tainted_bytes_total = self.shadow.total_tainted()
         report.site_table = {
             site: dict(tags) for site, tags in self.site_stats.items()
         }
@@ -597,57 +599,32 @@ class KeySan:
             for (tag_id, page), birth in sorted(self._open.items())
         ]
 
-        # Per-tag and per-region byte census over tainted chunks only.
-        for start, length in self.shadow.iter_tainted_chunks(page_size):
-            region = self._region_of(start // page_size)
-            for run in self.shadow.runs_in(start, length):
-                tag = self.tags.get(run.tag_id)
-                name = tag.name if tag is not None else f"tag#{run.tag_id}"
-                report.by_tag[name] = report.by_tag.get(name, 0) + run.length
-                report.by_region[region] = (
-                    report.by_region.get(region, 0) + run.length
-                )
-
-        # Page-cache residue: tainted file pages still resident.  Only
-        # tainted frames can qualify, so walk the shadow's tainted
-        # chunks instead of every frame of the machine.
-        for start, _ in self.shadow.iter_tainted_chunks(page_size):
-            frame = start // page_size
-            page = self.kernel.page(frame)
-            if not page.in_pagecache:
-                continue
-            base = frame * page_size
-            tags, origins = self._range_summary(base, page_size)
-            report.diagnostics.append(
-                TaintDiagnostic(
-                    kind="pagecache-residue",
-                    frame=frame,
-                    tags=tags,
-                    origins=origins,
-                    trigger_site="repro.sanitizer.keysan.KeySan.report",
-                    detail=f"file page {page.mapping} still caches key bytes",
-                )
-            )
-
-        # Full/untracked copy census against the scanner's patterns.
-        snapshot = physmem.snapshot()
-        report._snapshot = snapshot
+        # Full/untracked copy census against the scanner's patterns:
+        # non-overlapping hits, like the scanner's extent rule.
+        full_spans: List[Tuple[int, int]] = []
         if patterns is not None:
             report._patterns = dict(patterns.patterns)
+            intervals = physmem.nonzero_intervals()
             copy_pages: Dict[int, Set[str]] = {}
             for name, pattern in patterns.items():
                 tracked = untracked = 0
-                pos = snapshot.find(pattern)
-                while pos != -1:
+                span_end = 0
+                for pos in physmem.find_all_sparse(pattern, intervals):
+                    if pos < span_end:
+                        continue
+                    span_end = pos + len(pattern)
+                    full_spans.append((pos, span_end))
                     if self.shadow.covered(pos, len(pattern)):
                         tracked += 1
                     else:
                         untracked += 1
                     copy_pages.setdefault(pos // page_size, set()).add(name)
-                    # Non-overlapping, like the scanner's extent rule.
-                    pos = snapshot.find(pattern, pos + len(pattern))
                 report.full_copies[name] = tracked
                 report.untracked_copies[name] = untracked
+                # Swap-device census (the scanner cannot see the device).
+                swap_count = self.kernel.swap.count_pattern(pattern)
+                if swap_count:
+                    report.swap_hits[name] = swap_count
             # Page-grouped copy records: the unit of the quantitative
             # dynamic census KeyCount's static bounds must dominate.
             for page in sorted(copy_pages):
@@ -662,35 +639,41 @@ class KeySan:
                         origins=origins,
                     )
                 )
-            # Swap-device census (the scanner cannot see the device).
-            swap_image = self.kernel.swap.raw_dump()
-            for name, pattern in patterns.items():
-                count = 0
-                pos = swap_image.find(pattern)
-                while pos != -1:
-                    count += 1
-                    pos = swap_image.find(pattern, pos + len(pattern))
-                if count:
-                    report.swap_hits[name] = count
 
-        # Fragments: maximal tainted runs not inside any full copy.
-        full_spans: List[Tuple[int, int]] = []
-        for pattern in (report._patterns or {}).values():
-            pos = snapshot.find(pattern)
-            while pos != -1:
-                full_spans.append((pos, pos + len(pattern)))
-                pos = snapshot.find(pattern, pos + len(pattern))
+        # A run lies inside a full copy iff a span starting at or before
+        # it reaches its end (bisect the starts, running max of the ends).
         full_spans.sort()
-        fragments = 0
+        span_starts = [start for start, _ in full_spans]
+        span_reach = list(accumulate((end for _, end in full_spans), max))
+
+        # One walk over the tainted chunks: per-tag/per-region census,
+        # fragments (runs inside no full copy), page-cache residue.
         for start, length in self.shadow.iter_tainted_chunks(page_size):
+            frame = start // page_size
+            region = self._region_of(frame)
             for run in self.shadow.runs_in(start, length):
-                inside = any(
-                    span_start <= run.start and run.end <= span_end
-                    for span_start, span_end in full_spans
+                name = _tag_name(run.tag_id)
+                report.by_tag[name] = report.by_tag.get(name, 0) + run.length
+                report.by_region[region] = (
+                    report.by_region.get(region, 0) + run.length
                 )
-                if not inside:
-                    fragments += 1
-        report.fragments = fragments
+                covering = bisect_right(span_starts, run.start)
+                if not covering or span_reach[covering - 1] < run.end:
+                    report.fragments += 1
+            page = self.kernel.page(frame)
+            if page.in_pagecache:
+                tags, origins = self._range_summary(start, page_size)
+                report.diagnostics.append(
+                    TaintDiagnostic(
+                        kind="pagecache-residue",
+                        frame=frame,
+                        tags=tags,
+                        origins=origins,
+                        trigger_site="repro.sanitizer.keysan.KeySan.report",
+                        detail=f"file page {page.mapping} still caches key bytes",
+                    )
+                )
+        report.tainted_bytes_total = sum(report.by_tag.values())
         return report
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

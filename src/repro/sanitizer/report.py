@@ -166,7 +166,8 @@ class CopyRecord:
 
 @dataclass
 class TaintReport:
-    """Ground-truth taint state of the whole machine at one instant."""
+    """Ground-truth taint state of the whole machine at one instant
+    (counts and records only; no copy of RAM or swap is kept)."""
 
     #: Secret name -> tainted bytes currently in RAM.
     by_tag: Dict[str, int] = field(default_factory=dict)
@@ -193,8 +194,6 @@ class TaintReport:
     exposure_windows: List[ExposureWindow] = field(default_factory=list)
     #: Windows still open at report time (``close is None``).
     open_exposures: List[ExposureWindow] = field(default_factory=list)
-    #: Snapshot of memory at report time, kept for cross_check.
-    _snapshot: bytes = b""
     #: Pattern name -> pattern bytes, kept for cross_check.
     _patterns: Dict[str, bytes] = field(default_factory=dict)
 

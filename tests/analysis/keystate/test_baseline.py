@@ -34,11 +34,17 @@ class TestShippedBaseline:
         ids = list(payload["findings"])
         assert ids == sorted(ids)
 
-    def test_shipped_baseline_spans_all_three_protocols(self):
+    def test_shipped_baseline_spans_serve_and_keyfile_protocols(self):
+        """The reviewed findings cover the serve and key-file protocols.
+        The temporary-buffer protocol has no accepted finding left: its
+        one entry was KeySan.report's copy of RAM, which no longer
+        exists (the protocol itself is exercised by test_engine's
+        fixtures)."""
         rules = {
             finding_id.split(":", 1)[0] for finding_id in load_baseline(SHIPPED)
         }
-        assert {"serve-before-align", "keyfile-no-nocache", "temp-unscrubbed"} <= rules
+        assert {"serve-before-align", "keyfile-no-nocache"} <= rules
+        assert "temp-unscrubbed" not in rules
 
 
 class TestDrift:

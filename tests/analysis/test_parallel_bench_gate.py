@@ -91,7 +91,7 @@ class TestCommittedBaseline:
         else:
             assert payload["cpu_count"] == 1
         loops = {e["loop"] for e in payload["hot_loops"]}
-        assert {"scan_256mb_full", "shadow_census_256mb"} <= loops
+        assert {"scan_256mb_full", "shadow_census_256mb", "taint_audit_16mb"} <= loops
         assert any(l.startswith("keygen_cold_") for l in loops)
         for e in payload["hot_loops"]:
             assert e["best_seconds"] > 0

@@ -17,9 +17,10 @@ migrated away on the first write):
   the build instead of being silently skipped (the 0.55× regression of
   the original engine hid behind exactly such a hardware gate).
 
-* **Hot-loop microbenchmarks.**  The three loops the sweep spends its
-  time in — the 256 MB sparse memory scan, the KeySan shadow census,
-  and per-run key-material acquisition (cold keygen vs warm corpus
+* **Hot-loop microbenchmarks.**  The loops the sweep and the taint
+  audits spend their time in — the 256 MB sparse memory scan, the
+  KeySan shadow census, one KeySan audit of a 16 MB machine, and
+  per-run key-material acquisition (cold keygen vs warm corpus
   boot) — each timed on their own, so ``--check-regression`` can hold
   every loop to the same 20% budget ``BENCH_static_analysis.json``
   uses (``best > baseline * 1.2 + 0.15s floor`` fails).
@@ -126,6 +127,31 @@ def _bench_shadow_census_256mb(repeat: int) -> dict:
     }
 
 
+def _bench_taint_audit_16mb(repeat: int) -> dict:
+    """Hot loop: one KeySan audit (census + full scan + cross-check) on
+    a booted 16 MB openssh/none machine under taint."""
+    from repro.core.protection import ProtectionLevel
+    from repro.core.simulation import Simulation, SimulationConfig
+
+    sim = Simulation(SimulationConfig(
+        server="openssh", level=ProtectionLevel.NONE, memory_mb=16,
+        seed=42, taint=True,
+    ))
+    sim.start_server()
+    sim.cycle_connections(8)
+
+    def audit_once():
+        return sim.taint_report().cross_check(sim.scan())
+
+    check = audit_once()
+    assert check.consistent, "KeySan oracle and scanner disagree"
+    return {
+        "loop": "taint_audit_16mb",
+        "best_seconds": round(_best_of(audit_once, repeat), 4),
+        "full_copies": sum(oracle for oracle, _ in check.counts.values()),
+    }
+
+
 def _bench_key_material(repeat: int, key_bits: int) -> dict:
     """Hot loop: per-run key acquisition — cold keygen vs corpus hit."""
     from repro.crypto import keycorpus
@@ -150,6 +176,7 @@ def hot_loop_benchmarks(repeat: int, key_bits: int) -> list:
     for entry in (
         _bench_scan_256mb(repeat),
         _bench_shadow_census_256mb(repeat),
+        _bench_taint_audit_16mb(repeat),
         _bench_key_material(repeat, key_bits),
     ):
         results.append(entry)

@@ -20,12 +20,38 @@ origin, and overwrites/clears always untaint.
 
 **Why window matching is exact where it matters.**  Anchors are taken
 every ``window`` bytes of each secret *plus* the prefix window, and a
-matched anchor is extended bytewise in both directions; a run that
-ends exactly at a write's end arms a continuation that the next write
-(the following page-sized chunk of the same ``mm.write``) can resume.
-Every fragment the pattern scanner can possibly report (it needs a
-20-byte pattern *prefix*) therefore carries taint, so the oracle is a
-strict superset of the scanner — the basis for `TaintReport.cross_check`.
+matched anchor is extended to the longest matching run in both
+directions; a run that ends exactly at a write's end arms a
+continuation that the next write (the following page-sized chunk of
+the same ``mm.write``) can resume.  Every fragment the pattern scanner
+can possibly report (it needs a 20-byte pattern *prefix*) therefore
+carries taint, so the oracle is a strict superset of the scanner — the
+basis for `TaintReport.cross_check`.
+
+**Why the write hook runs at C speed and stays exact.**  Three steps
+keep per-write work out of Python loops without changing a single
+planted byte:
+
+* *Block prefilter.*  Let ``w`` be the narrowest anchor width and ``B``
+  a block size with ``2B - 1 <= w`` (the largest power of two not above
+  ``(w + 1) // 2``, so that a block reads as one machine word).  An
+  anchor occurrence ``data[p:p+w']`` with ``w' >= w`` contains the block
+  ``data[kB:kB+B]`` that starts at the first multiple of ``B`` at or
+  after ``p``: it starts at most ``B - 1`` bytes in and ends at most
+  ``2B - 1 <= w`` bytes in.  That block is a substring of the anchor.
+  So a write none of whose aligned blocks is a ``B``-byte substring of
+  some anchor holds no anchor, and the anchor search is skipped — the
+  common case for the random and small writes that carry no secret.
+* *Slice-compared extension.*  A run's reach before and after its
+  anchor is the longest common suffix / prefix of the write and the
+  secret at that alignment, found by a binary search over slice
+  compares rather than one byte at a time.
+* *One measurement per alignment.*  Runs along one alignment
+  (``pos - sec_off``) are disjoint maximal segments, so an anchor hit
+  before the end of a run already measured along its alignment lies in
+  that run or in an earlier one, and either way ends no later than the
+  ``marked_until`` mark the measured run left; it would plant nothing,
+  and is skipped unmeasured.
 """
 
 from __future__ import annotations
@@ -34,7 +60,7 @@ import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.sanitizer.lifecycle import LifecycleMonitor
 from repro.sanitizer.report import (
@@ -103,6 +129,55 @@ def _build_anchors(secret: bytes, window: int) -> Tuple[Tuple[int, bytes], ...]:
     return tuple((off, secret[off : off + width]) for off in sorted(offsets))
 
 
+#: ``memoryview.cast`` format that reads one prefilter block as one
+#: native unsigned word, by block size.
+_BLOCK_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def _block_size(width: int) -> int:
+    """Largest word-sized block ``B`` with ``2B - 1 <= width``."""
+    block = 8
+    while 2 * block - 1 > width:
+        block //= 2
+    return block
+
+
+def _blocks(data: bytes, block: int) -> memoryview:
+    """``data``'s ``block``-aligned whole blocks, one word each."""
+    usable = len(data) - len(data) % block
+    return memoryview(data)[:usable].cast(_BLOCK_FORMATS[block])
+
+
+def _common_prefix(data: bytes, start: int, secret: bytes, sec_start: int) -> int:
+    """Length of the common prefix of ``data[start:]`` and
+    ``secret[sec_start:]``, by binary search over slice compares."""
+    lo, hi = 0, min(len(data) - start, len(secret) - sec_start)
+    if data[start : start + hi] == secret[sec_start : sec_start + hi]:
+        return hi
+    while hi - lo > 1:  # lo matches, hi does not
+        mid = (lo + hi) // 2
+        if data[start : start + mid] == secret[sec_start : sec_start + mid]:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _common_suffix(data: bytes, end: int, secret: bytes, sec_end: int) -> int:
+    """Length of the common suffix of ``data[:end]`` and
+    ``secret[:sec_end]``, by binary search over slice compares."""
+    lo, hi = 0, min(end, sec_end)
+    if data[end - hi : end] == secret[sec_end - hi : sec_end]:
+        return hi
+    while hi - lo > 1:  # lo matches, hi does not
+        mid = (lo + hi) // 2
+        if data[end - mid : end] == secret[sec_end - mid : sec_end]:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 class KeySan:
     """Runtime taint sanitizer for one simulated machine."""
 
@@ -124,6 +199,10 @@ class KeySan:
         #: ``(tag_id, secret_offset, origin_id)`` continuations armed by
         #: a matched run that hit the end of the previous write.
         self._pending: List[Tuple[int, int, int]] = []
+        #: Prefilter: block size and every block-sized substring of every
+        #: anchor, as native words.  Rebuilt by ``register_secret``.
+        self._block = 1
+        self._anchor_blocks: FrozenSet[int] = frozenset()
         self._free_events = 0
         self.events_matched = 0
         #: Protocol-lifecycle monitor (KeyState's automata, executed).
@@ -172,7 +251,19 @@ class KeySan:
                        _build_anchors(bytes(secret), self.window))
         self.tags[tag_id] = tag
         self._tags_by_name[name] = tag
+        self._build_prefilter()
         return tag
+
+    def _build_prefilter(self) -> None:
+        anchors = [window for tag in self.tags.values() for _, window in tag.anchors]
+        block = _block_size(min(map(len, anchors)))
+        self._block = block
+        self._anchor_blocks = frozenset(
+            word
+            for window in anchors
+            for start in range(len(window) - block + 1)
+            for word in _blocks(window[start : start + block], block)
+        )
 
     def register_key(self, key: "RsaKey", pem: bytes, prefix: str = "") -> None:
         """Register the paper's sensitive material for one RSA key: the
@@ -230,15 +321,8 @@ class KeySan:
         first = addr // page_size
         last = (addr + length - 1) // page_size
         for page in range(first, last + 1):
-            base = page * page_size
-            tainted = self.shadow.any_in(base, page_size)
+            present = self.shadow.tags_in(page * page_size, page_size)
             open_here = self._open_by_page.get(page)
-            if not tainted and not open_here:
-                continue
-            present: Set[int] = set()
-            if tainted:
-                for run in self.shadow.runs_in(base, page_size):
-                    present.add(run.tag_id)
             if open_here is not None:
                 for tag_id in tuple(open_here - present):
                     self.note_scrub(tag_id, page)
@@ -326,7 +410,6 @@ class KeySan:
         if not self.tags or data.count(0) == length:
             self._sync_exposures(addr, length)
             return
-        site: Optional[str] = None
         # Continuations: the previous write ended mid-secret; if this
         # write picks up exactly where it left off (the next page-sized
         # chunk of one mm.write), extend the same taint run.
@@ -339,35 +422,46 @@ class KeySan:
                 self.events_matched += 1
                 if n == length and sec_off + n < len(tag.secret):
                     self._pending.append((tag_id, sec_off + n, origin_id))
-        # Anchor matching: find any recognisable run of secret bytes.
+        # Anchor matching, skipped unless an aligned block of the write is
+        # a piece of some anchor (exact: see the module docstring).
+        if not self._anchor_blocks.isdisjoint(_blocks(data, self._block)):
+            self._match_anchors(addr, data)
+        self._sync_exposures(addr, length)
+
+    def _match_anchors(self, addr: int, data: bytes) -> None:
+        """Anchor matching: find any recognisable run of secret bytes."""
+        site: Optional[str] = None
+        length = len(data)
         for tag in self.tags.values():
             secret = tag.secret
             marked_until = -1
+            # alignment ``pos - sec_off`` -> end of the last run measured
+            reach: Dict[int, int] = {}
             for sec_off, window in tag.anchors:
+                width = len(window)
                 pos = data.find(window)
                 while pos != -1:
-                    begin, j = pos, sec_off
-                    while begin > 0 and j > 0 and data[begin - 1] == secret[j - 1]:
-                        begin -= 1
-                        j -= 1
-                    end = pos + len(window)
-                    k = sec_off + len(window)
-                    while end < length and k < len(secret) and data[end] == secret[k]:
-                        end += 1
-                        k += 1
-                    if end > marked_until:  # skip runs other anchors found
-                        if site is None:
-                            site = self._call_site()
-                        origin_id = self._origin_id(site)
-                        self.shadow.set_range(addr + begin, end - begin,
-                                              tag.tag_id, origin_id)
-                        self._note_planted(site, tag, end - begin)
-                        self.events_matched += 1
-                        marked_until = end
-                        if end == length and k < len(secret):
-                            self._pending.append((tag.tag_id, k, origin_id))
+                    shift = pos - sec_off
+                    if pos >= reach.get(shift, 0):
+                        begin = pos - _common_suffix(data, pos, secret, sec_off)
+                        end = pos + width
+                        k = sec_off + width
+                        grown = _common_prefix(data, end, secret, k)
+                        end += grown
+                        k += grown
+                        reach[shift] = end
+                        if end > marked_until:  # skip runs other anchors found
+                            if site is None:
+                                site = self._call_site()
+                            origin_id = self._origin_id(site)
+                            self.shadow.set_range(addr + begin, end - begin,
+                                                  tag.tag_id, origin_id)
+                            self._note_planted(site, tag, end - begin)
+                            self.events_matched += 1
+                            marked_until = end
+                            if end == length and k < len(secret):
+                                self._pending.append((tag.tag_id, k, origin_id))
                     pos = data.find(window, pos + 1)
-        self._sync_exposures(addr, length)
 
     def on_fill(self, addr: int, length: int) -> None:
         self.clock += 1

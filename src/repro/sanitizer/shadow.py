@@ -28,7 +28,7 @@ from __future__ import annotations
 import re
 from array import array
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Pattern, Tuple
+from typing import Dict, Iterator, List, Pattern, Set, Tuple
 
 from repro.mem.bytesearch import first_nonzero
 
@@ -131,6 +131,23 @@ class ShadowMap:
     def tag_at(self, addr: int) -> int:
         self._check(addr, 1)
         return self._tags[addr]
+
+    def tags_in(self, addr: int, length: int) -> Set[int]:
+        """The tag ids present in the range, i.e.
+        ``set(tags[addr:addr+length].translate(None, b"\\0"))``.
+
+        Built by deleting one tag value at a time (one C pass per tag
+        present, not one Python step per byte), so the set gets its
+        members in the same first-occurrence order as the formula.
+        """
+        self._check(addr, length)
+        rest = self._tags[addr : addr + length].translate(None, b"\0")
+        present: Set[int] = set()
+        while rest:
+            tag = rest[0]
+            present.add(tag)
+            rest = rest.translate(None, bytes((tag,)))
+        return present
 
     def runs_in(self, addr: int, length: int) -> List[TaintRun]:
         """Maximal same-tag/same-origin tainted runs inside the range.

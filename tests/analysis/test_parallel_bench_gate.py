@@ -68,6 +68,26 @@ class TestSpeedupPolicy:
         assert bench.LEGACY_OUT.parent.name == "results"
 
 
+class TestHotLoops:
+    def test_taint_sessions_row_is_emitted(self, monkeypatch):
+        """The KeySan write-hook row runs with the other hot loops (the
+        rest are stubbed out here; two sessions keep it quick)."""
+        for name in ("_bench_scan_256mb", "_bench_shadow_census_256mb",
+                     "_bench_taint_audit_16mb"):
+            monkeypatch.setattr(bench, name,
+                                lambda repeat, name=name: entry(name, 0.1))
+        monkeypatch.setattr(bench, "_bench_key_material",
+                            lambda repeat, key_bits: entry("keygen", 0.1))
+        sessions = bench._bench_taint_sessions_16mb
+        monkeypatch.setattr(bench, "_bench_taint_sessions_16mb",
+                            lambda repeat: sessions(repeat, sessions=2))
+        rows = {row["loop"]: row for row in bench.hot_loop_benchmarks(1, 1024)}
+        row = rows["taint_sessions_16mb"]
+        assert row["best_seconds"] > 0
+        assert row["sessions"] == 2
+        assert row["events_matched"] > 0
+
+
 class TestCommittedBaseline:
     def test_baseline_exists_at_repo_root_only(self):
         assert (REPO_ROOT / "BENCH_parallel_sweep.json").exists()
@@ -91,7 +111,8 @@ class TestCommittedBaseline:
         else:
             assert payload["cpu_count"] == 1
         loops = {e["loop"] for e in payload["hot_loops"]}
-        assert {"scan_256mb_full", "shadow_census_256mb", "taint_audit_16mb"} <= loops
+        assert {"scan_256mb_full", "shadow_census_256mb", "taint_audit_16mb",
+                "taint_sessions_16mb"} <= loops
         assert any(l.startswith("keygen_cold_") for l in loops)
         for e in payload["hot_loops"]:
             assert e["best_seconds"] > 0

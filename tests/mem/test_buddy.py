@@ -377,3 +377,85 @@ class TestFreeHook:
         for head, _order in live:
             buddy.free_pages(head)
         buddy.check_invariants()
+
+
+class TestInvariantMessages:
+    """``check_invariants`` runs its five checks in bulk; each kind of
+    corruption still raises the frame-by-frame walk's exact message."""
+
+    @staticmethod
+    def split_allocator():
+        # One order-0 allocation splits the order-6 block: frame 0 is
+        # allocated, heads 1 (order 0), 2, 4, 8, 16, 32 (orders 1-5) free.
+        _, buddy = make_allocator(frames=64)
+        assert buddy.alloc_pages(0) == 0
+        buddy.check_invariants()
+        return buddy
+
+    def assert_raises(self, buddy, message):
+        with pytest.raises(AllocatorStateError) as excinfo:
+            buddy.check_invariants()
+        assert str(excinfo.value) == message
+
+    def test_misaligned_head(self):
+        # Over reserved frames the block overlaps no other block, so only
+        # the alignment check can object to it.
+        _, buddy = make_allocator(frames=64, reserved=8)
+        buddy._free_lists[1].append(3)
+        self.assert_raises(buddy, "free block 3 misaligned for order 1")
+
+    def test_frame_on_two_free_lists(self):
+        buddy = self.split_allocator()
+        buddy._free_lists[0].append(2)
+        self.assert_raises(buddy, "frame 2 on two free lists")
+
+    def test_free_frame_with_nonzero_refcount(self):
+        buddy = self.split_allocator()
+        buddy.pages[5].count = 1
+        self.assert_raises(buddy, "free frame 5 has nonzero refcount")
+
+    def test_hot_frame_also_on_buddy_list(self):
+        buddy = self.split_allocator()
+        buddy._hot.append(9)
+        self.assert_raises(buddy, "hot frame 9 also on buddy list")
+
+    def test_allocated_frame_marked_free(self):
+        buddy = self.split_allocator()
+        buddy._alloc_orders[20] = 2
+        self.assert_raises(buddy, "allocated frame 20 marked free")
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        ops=st.lists(st.tuples(st.booleans(), st.integers(0, 2)), max_size=30),
+        corruption=st.sampled_from(["none", "list", "refcount", "hot", "alloc"]),
+        order=st.integers(0, 3),
+        frame=st.integers(0, 56),
+    )
+    def test_bulk_checks_agree_with_the_walk(self, ops, corruption, order, frame):
+        _, buddy = make_allocator(frames=64, reserved=4)
+        held = []
+        for allocate, alloc_order in ops:
+            if allocate:
+                try:
+                    held.append(buddy.alloc_pages(alloc_order))
+                except OutOfMemoryError:
+                    pass
+            elif held:
+                buddy.free_pages(held.pop(0))
+        if corruption == "list":
+            buddy._free_lists[order].append(frame)
+        elif corruption == "refcount":
+            buddy.pages[frame].count += 1
+        elif corruption == "hot":
+            buddy._hot.append(frame)
+        elif corruption == "alloc":
+            buddy._alloc_orders[frame] = order
+        try:
+            buddy._raise_first_violation()
+        except AllocatorStateError:
+            walk_holds = False
+        else:
+            walk_holds = True
+        assert buddy._invariants_hold() == walk_holds
+        if corruption == "none":
+            assert walk_holds

@@ -76,3 +76,53 @@ def test_bounds_and_id_validation():
         ShadowMap(0)
     with pytest.raises(ValueError):
         list(shadow.iter_tainted_chunks(0))
+
+
+def _formula(shadow, addr, length):
+    return set(shadow._tags[addr : addr + length].translate(None, b"\0"))
+
+
+def test_tags_in_clean_range_is_empty():
+    shadow = ShadowMap(1024)
+    shadow.set_range(500, 10, tag_id=1, origin_id=1)
+    assert shadow.tags_in(0, 500) == set()
+    assert shadow.tags_in(510, 0) == set()
+
+
+def test_tags_in_one_tag():
+    shadow = ShadowMap(1024)
+    shadow.set_range(100, 50, tag_id=4, origin_id=1)
+    shadow.set_range(200, 5, tag_id=4, origin_id=2)  # same tag, new origin
+    assert shadow.tags_in(0, 1024) == {4}
+    assert shadow.tags_in(149, 1) == {4}
+    assert shadow.tags_in(150, 50) == set()
+
+
+def test_tags_in_several_tags_in_first_occurrence_order():
+    shadow = ShadowMap(1024)
+    shadow.set_range(10, 5, tag_id=9, origin_id=1)
+    shadow.set_range(20, 5, tag_id=1, origin_id=1)
+    shadow.set_range(30, 5, tag_id=17, origin_id=1)
+    shadow.set_range(40, 5, tag_id=9, origin_id=1)
+    present = shadow.tags_in(0, 1024)
+    assert present == {1, 9, 17}
+    # Same members, same iteration order as the set-of-bytes formula.
+    assert list(present) == list(_formula(shadow, 0, 1024))
+    assert shadow.tags_in(18, 20) == {1, 17}
+
+
+def test_tags_in_range_ending_at_the_edge():
+    shadow = ShadowMap(256)
+    shadow.set_range(250, 6, tag_id=3, origin_id=1)
+    assert shadow.tags_in(200, 56) == {3}
+    assert shadow.tags_in(255, 1) == {3}
+
+
+def test_tags_in_outside_the_shadow_raises():
+    shadow = ShadowMap(256)
+    with pytest.raises(ValueError):
+        shadow.tags_in(200, 57)
+    with pytest.raises(ValueError):
+        shadow.tags_in(-1, 4)
+    with pytest.raises(ValueError):
+        shadow.tags_in(0, -1)

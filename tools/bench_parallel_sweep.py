@@ -19,8 +19,9 @@ migrated away on the first write):
 
 * **Hot-loop microbenchmarks.**  The loops the sweep and the taint
   audits spend their time in — the 256 MB sparse memory scan, the
-  KeySan shadow census, one KeySan audit of a 16 MB machine, and
-  per-run key-material acquisition (cold keygen vs warm corpus
+  KeySan shadow census, one KeySan audit of a 16 MB machine, 100 scp
+  sessions under KeySan's write hook on a 16 MB machine, and per-run
+  key-material acquisition (cold keygen vs warm corpus
   boot) — each timed on their own, so ``--check-regression`` can hold
   every loop to the same 20% budget ``BENCH_static_analysis.json``
   uses (``best > baseline * 1.2 + 0.15s floor`` fails).
@@ -152,6 +153,37 @@ def _bench_taint_audit_16mb(repeat: int) -> dict:
     }
 
 
+def _bench_taint_sessions_16mb(repeat: int, sessions: int = 100) -> dict:
+    """Hot loop: scp sessions under KeySan on a booted 16 MB
+    openssh/none machine, where the sanitizer's write hook sees every
+    byte the sessions write.  Each repetition boots a fresh machine
+    outside the timed region, so every one times the same sessions."""
+    from repro.analysis.perfbench import SCP_FILE_SIZES
+    from repro.core.protection import ProtectionLevel
+    from repro.core.simulation import Simulation, SimulationConfig
+
+    best = None
+    for _ in range(repeat):
+        sim = Simulation(SimulationConfig(
+            server="openssh", level=ProtectionLevel.NONE, memory_mb=16,
+            seed=42, taint=True,
+        ))
+        sim.start_server()
+        start = time.perf_counter()
+        for index in range(sessions):
+            sim.server.run_connection_cycle(
+                SCP_FILE_SIZES[index % len(SCP_FILE_SIZES)]
+            )
+        elapsed = time.perf_counter() - start
+        best = elapsed if best is None else min(best, elapsed)
+    return {
+        "loop": "taint_sessions_16mb",
+        "best_seconds": round(best, 4),
+        "sessions": sessions,
+        "events_matched": sim.keysan.events_matched,
+    }
+
+
 def _bench_key_material(repeat: int, key_bits: int) -> dict:
     """Hot loop: per-run key acquisition — cold keygen vs corpus hit."""
     from repro.crypto import keycorpus
@@ -177,6 +209,7 @@ def hot_loop_benchmarks(repeat: int, key_bits: int) -> list:
         _bench_scan_256mb(repeat),
         _bench_shadow_census_256mb(repeat),
         _bench_taint_audit_16mb(repeat),
+        _bench_taint_sessions_16mb(repeat),
         _bench_key_material(repeat, key_bits),
     ):
         results.append(entry)

@@ -1,19 +1,24 @@
-"""Shared static-analysis infrastructure: project model + CFGs.
+"""Shared static-analysis infrastructure: project model, CFGs and the
+key-material fixpoint.
 
-Both whole-program analyzers — KeyFlow (may-taint dataflow) and
-KeyState (protocol typestate) — run over the *same* program
-representation, so their results are directly comparable and a fix to
-call resolution or exception-edge routing benefits both:
+Every whole-program layer — KeyFlow, KeyState, KeyCount, KeyRecon and
+KeySpan — runs over the *same* program representation, so their
+results are directly comparable and a fix to call resolution or
+exception-edge routing benefits all of them:
 
 * :mod:`repro.analysis.ir.project` — the :class:`Project` loader:
   modules, functions named exactly like the runtime's
   ``f"{module}.{co_qualname}"``, and the name-based call graph;
 * :mod:`repro.analysis.ir.cfg` — per-function control-flow graphs
-  with exception edges and finally-aware abrupt-exit routing.
+  with exception edges and finally-aware abrupt-exit routing;
+* :mod:`repro.analysis.ir.dataflow` — the one interprocedural
+  key-material fixpoint KeyFlow and KeyRecon project their reports
+  from, memoised per ``Project``.
 
-This package grew out of ``analysis/keyflow/`` when KeyState arrived;
-it holds representation only — analysis semantics (taint configs,
-protocol automata) stay with their analyzers.
+This package grew out of ``analysis/keyflow/`` when KeyState arrived.
+Its dataflow engine is driven entirely by the layers' configs: what is
+a source, a sink, a derivation edge or a scrubber stays with the
+analyzers.
 """
 
 from repro.analysis.ir.cfg import CFG, CFGNode, build_cfg

@@ -21,8 +21,9 @@ all of them.  Coarseness costs precision, never soundness — the
 dynamic ⊆ static containment tests only work because resolution
 over-approximates.
 
-This module is shared infrastructure: KeyFlow's taint pass and
-KeyState's typestate checker both analyze the Project it builds.
+This module is shared infrastructure: every IR layer analyzes the
+Project it builds, and KeyFlow and KeyRecon share one key-material
+fixpoint over it (:mod:`repro.analysis.ir.dataflow`).
 """
 
 from __future__ import annotations
@@ -176,6 +177,9 @@ class Project:
         #: module name -> {module-level def name -> full name}.
         self._module_defs: Dict[str, Dict[str, str]] = {}
         self.files: List[str] = []
+        #: The key-material fixpoint last computed over this build
+        #: (:func:`repro.analysis.ir.dataflow.shared_fixpoint`).
+        self.key_material = None
 
     # ------------------------------------------------------------------
     # loading

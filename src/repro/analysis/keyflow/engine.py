@@ -1,8 +1,13 @@
-"""KeyFlow entry point: load sources, run the fixpoint, emit a report.
+"""KeyFlow entry point: load sources, project the fixpoint, emit a report.
 
 ``analyze()`` with no arguments analyzes the installed ``repro``
 package itself — the dogfood configuration used by the CLI, the CI
 baseline gate, and the dynamic⊆static containment test.
+
+The taint itself is the ``TAINT`` member of the key-material fixpoint
+shared with KeyRecon (:mod:`repro.analysis.ir.dataflow`): the leak set
+is every function where ``TAINT`` is resident or a source/sink event
+fires, and sink events become ``tainted-flow`` findings.
 """
 
 from __future__ import annotations
@@ -12,10 +17,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.findings import Finding, sort_findings
 from repro.analysis.keyflow.config import DEFAULT_CONFIG, KeyFlowConfig
-from repro.analysis.keyflow.dataflow import TaintAnalysis
-from repro.analysis.keyflow.findings import KeyFlowReport
+from repro.analysis.ir.dataflow import shared_fixpoint
 from repro.analysis.ir.project import Project
+from repro.analysis.keyflow.findings import KeyFlowReport
 from repro.analysis.keyflow.scrub import check_function
+from repro.analysis.keyrecon.config import DEFAULT_CONFIG as RECON_CONFIG
 
 #: The package's own source tree (default analysis root).
 REPRO_ROOT = Path(__file__).resolve().parents[2]
@@ -34,14 +40,14 @@ def analyze(
     they permute file-discovery order and the interprocedural worklist
     seed; the report must be byte-identical either way.  ``project``
     reuses an already-loaded IR build (the ``repro analyze``
-    meta-command parses the tree once for all layers).
+    meta-command parses the tree once for all layers) and the fixpoint
+    memoised on it.
     """
     if project is None:
         roots = [Path(p) for p in paths] if paths is not None else [REPRO_ROOT]
         project = Project.load(roots, files=files)
 
-    analysis = TaintAnalysis(project, config)
-    analysis.run(initial_order=initial_order)
+    analysis = shared_fixpoint(project, config, RECON_CONFIG, initial_order)
 
     findings: List[Finding] = []
 
@@ -51,7 +57,7 @@ def analyze(
         result = analysis.results[name]
         info = project.functions[name]
         first_line: Dict[Tuple[str, str], int] = {}
-        for event in result.events:
+        for event in result.taint_events:
             if event.kind != "sink":
                 continue
             key = (event.name, event.category)
@@ -75,7 +81,7 @@ def analyze(
     # missing-scrub: scrub-on-all-paths over each function's CFG.
     for name in project.sorted_names():
         info = project.functions[name]
-        for violation in check_function(info, analysis._cfg_for(name), config):
+        for violation in check_function(info, analysis.cfg_for(name), config):
             findings.append(
                 Finding(
                     rule="missing-scrub",

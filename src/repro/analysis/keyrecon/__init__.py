@@ -9,12 +9,14 @@ any single CRT factor divides n, either CRT exponent recovers a factor
 by Fermat's little theorem, a Montgomery context stores its modulus
 verbatim, and a DER/PEM blob embeds everything.
 
-It lifts KeyFlow's taint to a *derivability lattice*: every abstract
-location carries a fragment set ({p}, {dmp1, mont_p}, …), propagated
-through derivation edges (keygen, CRT precompute, Montgomery
-conversion, serialization) by a flow-sensitive engine with monotone
-summaries over the shared IR; program points are then judged against
-reconstruction rules.  The headline obligations, enforced in CI:
+Its domain is a *derivability lattice*: every abstract location
+carries a fragment set ({p}, {dmp1, mont_p}, …), propagated through
+derivation edges (keygen, CRT precompute, Montgomery conversion,
+serialization).  The fragment sets ride beside KeyFlow's taint in one
+key-material fixpoint over the shared IR
+(:mod:`repro.analysis.ir.dataflow`); :func:`analyze` projects the
+fragments out of it and judges program points against reconstruction
+rules.  The headline obligations, enforced in CI:
 
 * **dynamic ⊆ static**: every key the structural attackers in
   :mod:`repro.attacks.predict` rebuild from a memory dump maps to a
@@ -25,7 +27,7 @@ reconstruction rules.  The headline obligations, enforced in CI:
   region, flagged as ``fragment-concentration`` because it *helps*
   this attacker even as it defeats the pattern scanner.
 
-Entry points: :func:`analyze` (the engine),
+Entry points: :func:`analyze` (the report),
 :data:`~repro.analysis.keyrecon.config.DEFAULT_CONFIG`, and the
 ``python -m repro analyze --layers keyrecon`` CLI.
 """

@@ -1,9 +1,12 @@
-"""KeyRecon entry point: run the fixpoint, judge, emit a report.
+"""KeyRecon entry point: project the fixpoint, judge, emit a report.
 
 ``analyze()`` with no arguments analyzes the installed ``repro``
 package itself — the dogfood configuration used by the CLI, the CI
 baseline gate, and the dynamic ⊆ static containment test against the
 structural attackers in :mod:`repro.attacks.predict`.
+
+The fragment sets are the key-material fixpoint shared with KeyFlow
+(:mod:`repro.analysis.ir.dataflow`) with its ``TAINT`` member dropped.
 
 Judgment: for every function, take the union of fragments live
 anywhere in it, drop the public ones, and evaluate each reconstruction
@@ -20,9 +23,10 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.findings import Finding, sort_findings
+from repro.analysis.ir.dataflow import shared_fixpoint
 from repro.analysis.ir.project import Project
+from repro.analysis.keyflow.config import DEFAULT_CONFIG as FLOW_CONFIG
 from repro.analysis.keyrecon.config import DEFAULT_CONFIG, KeyReconConfig
-from repro.analysis.keyrecon.dataflow import ReconAnalysis
 from repro.analysis.keyrecon.findings import KeyReconReport
 
 #: The package's own source tree (default analysis root).
@@ -60,14 +64,14 @@ def analyze(
     they permute file-discovery order and the interprocedural worklist
     seed; the report must be byte-identical either way.  ``project``
     reuses an already-loaded IR build (the ``repro analyze``
-    meta-command parses the tree once for all layers).
+    meta-command parses the tree once for all layers) and the fixpoint
+    memoised on it.
     """
     if project is None:
         roots = [Path(p) for p in paths] if paths is not None else [REPRO_ROOT]
         project = Project.load(roots, files=files)
 
-    analysis = ReconAnalysis(project, config)
-    analysis.run(initial_order=initial_order)
+    analysis = shared_fixpoint(project, FLOW_CONFIG, config, initial_order)
 
     findings: List[Finding] = []
     verdicts: Dict[str, str] = {}
@@ -77,7 +81,7 @@ def analyze(
     for name in project.sorted_names():
         result = analysis.results[name]
         info = project.functions[name]
-        resident = frozenset(result.resident)
+        resident = result.fragments
         if resident:
             inventory[name] = sorted(resident)
 
@@ -132,7 +136,7 @@ def analyze(
                 )
             )
 
-        for event in result.events:
+        for event in result.concentrations:
             findings.append(
                 Finding(
                     rule="fragment-concentration",

@@ -49,8 +49,8 @@ def census_by_level():
 
 
 @pytest.fixture(scope="module")
-def report():
-    return analyze()
+def report(shipped_project):
+    return analyze(project=shipped_project)
 
 
 class TestWorkload:

@@ -17,8 +17,8 @@ from repro.analysis.sarif import validate_sarif
 
 
 @pytest.fixture(scope="module")
-def report():
-    return analyze()
+def report(shipped_project):
+    return analyze(project=shipped_project)
 
 
 EXPECTED_BOUNDS = {

@@ -34,8 +34,8 @@ def dynamic_sites():
 
 
 @pytest.fixture(scope="module")
-def static_leak_set():
-    return set(analyze().leak_set)
+def static_leak_set(shipped_project):
+    return set(analyze(project=shipped_project).leak_set)
 
 
 class TestContainment:

@@ -14,8 +14,8 @@ from repro.analysis.keyflow.engine import REPRO_ROOT
 
 
 class TestKeyflowSarif:
-    def test_dogfood_report_is_valid_sarif(self):
-        report = analyze()
+    def test_dogfood_report_is_valid_sarif(self, shipped_project):
+        report = analyze(project=shipped_project)
         document = report.to_sarif()
         assert validate_sarif(document) == []
         assert document["version"] == SARIF_VERSION
@@ -23,8 +23,8 @@ class TestKeyflowSarif:
         assert run["tool"]["driver"]["name"] == "keyflow"
         assert len(run["results"]) == len(report.findings)
 
-    def test_round_trips_through_json(self, tmp_path):
-        report = analyze()
+    def test_round_trips_through_json(self, tmp_path, shipped_project):
+        report = analyze(project=shipped_project)
         path = tmp_path / "keyflow.sarif"
         path.write_text(json.dumps(report.to_sarif()), encoding="utf-8")
         assert validate_sarif(json.loads(path.read_text())) == []

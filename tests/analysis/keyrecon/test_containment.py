@@ -70,8 +70,8 @@ def dynamic_by_level():
 
 
 @pytest.fixture(scope="module")
-def static_report():
-    return analyze()
+def static_report(shipped_project):
+    return analyze(project=shipped_project)
 
 
 class TestWorkload:

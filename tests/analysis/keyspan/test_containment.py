@@ -47,8 +47,8 @@ def taint_by_level():
 
 
 @pytest.fixture(scope="module")
-def static_report():
-    return analyze()
+def static_report(shipped_project):
+    return analyze(project=shipped_project)
 
 
 class TestWorkload:

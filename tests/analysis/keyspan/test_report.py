@@ -30,8 +30,8 @@ EXPECTED_METRICS = {
 
 
 @pytest.fixture(scope="module")
-def report():
-    return analyze()
+def report(shipped_project):
+    return analyze(project=shipped_project)
 
 
 class TestInventory:

@@ -13,8 +13,8 @@ from repro.analysis.keyspan import DEFAULT_CONFIG, analyze
 
 
 @pytest.fixture(scope="module")
-def baseline_report():
-    return analyze()
+def baseline_report(shipped_project):
+    return analyze(project=shipped_project)
 
 
 class TestScrubAblation:

@@ -49,8 +49,11 @@ def dynamic_pairs_by_level():
 
 
 @pytest.fixture(scope="module")
-def static_pairs():
-    return {(f.rule, f.function) for f in analyze().findings}
+def static_pairs(shipped_project):
+    return {
+        (f.rule, f.function)
+        for f in analyze(project=shipped_project).findings
+    }
 
 
 def simulated(pairs):

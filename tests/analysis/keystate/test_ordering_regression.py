@@ -36,15 +36,17 @@ class TestLayerSeparation:
             f for f in report.findings if "load_and_serve" in f.function
         ] == []
 
-    def test_real_tree_serve_before_align_is_keystate_only(self):
+    def test_real_tree_serve_before_align_is_keystate_only(self, shipped_project):
         # the shipped tree's unaligned-serve sites (NONE-level sshd and
         # httpd handshakes) appear in KeyState's findings and in no
         # KeyFlow finding
         ks_functions = {
             f.function
-            for f in keystate.analyze().findings
+            for f in keystate.analyze(project=shipped_project).findings
             if f.rule == "serve-before-align"
         }
         assert "repro.apps.sshd.OpenSSHServer._key_exchange" in ks_functions
-        kf_functions = {f.function for f in keyflow.analyze().findings}
+        kf_functions = {
+            f.function for f in keyflow.analyze(project=shipped_project).findings
+        }
         assert not (ks_functions & kf_functions)

@@ -17,13 +17,6 @@ from repro.analysis.experiments import (
     mitigation_comparison,
     ntty_attack_sweep,
 )
-from repro.analysis.export import (
-    ext2_sweep_to_csv,
-    ntty_sweep_to_csv,
-    scan_report_to_csv,
-    timeline_locations_to_csv,
-    timeline_to_csv,
-)
 from repro.analysis.perfbench import PerfMetrics, run_scp_stress, run_siege
 from repro.analysis.timeline import TimelineResult, TimelineStep, run_timeline
 
@@ -34,14 +27,9 @@ __all__ = [
     "TimelineResult",
     "TimelineStep",
     "ext2_attack_sweep",
-    "ext2_sweep_to_csv",
     "mitigation_comparison",
     "ntty_attack_sweep",
-    "ntty_sweep_to_csv",
     "run_scp_stress",
     "run_siege",
     "run_timeline",
-    "scan_report_to_csv",
-    "timeline_locations_to_csv",
-    "timeline_to_csv",
 ]

@@ -478,19 +478,14 @@ class _FunctionRun:
     ) -> None:
         for target in targets:
             params = self.analysis.project.functions[target].params
-            contrib: Dict[str, Set[str]] = {}
-            if spread:
-                for param in params:
-                    contrib.setdefault(param, set()).update(spread)
-            for index, value in enumerate(positional):
-                if value and index < len(params):
-                    contrib.setdefault(params[index], set()).update(value)
-            for name, value in keywords:
-                if value and name in params:
-                    contrib.setdefault(name, set()).update(value)
+            contrib = [(param, spread) for param in params] if spread else []
+            contrib += [(param, value)
+                        for param, value in zip(params, positional) if value]
+            contrib += [(name, value)
+                        for name, value in keywords if value and name in params]
             if contrib:
                 sink = self.result.param_contribs.setdefault(target, {})
-                for param, value in contrib.items():
+                for param, value in contrib:
                     sink.setdefault(param, set()).update(value)
 
 
@@ -518,17 +513,15 @@ class KeyMaterialAnalysis:
         self.results: Dict[str, FunctionResult] = {}
         self._cfgs: Dict[str, CFG] = {}
         self._preds: Dict[str, List[List[int]]] = {}
-        #: What an attribute load mints: KeyFlow's source attributes
-        #: taint, KeyRecon's fragment attributes name their fragments.
-        self.attr_values: Dict[str, FrozenSet[str]] = {
-            attr: frozenset(frags) for attr, frags in recon.fragment_attrs.items()
-        }
-        for attr in flow.source_attrs:
-            self.attr_values[attr] = self.attr_values.get(attr, EMPTY) | TAINTED
         #: A constant subscript key names fragments only, never taint.
         self.key_values: Dict[str, FrozenSet[str]] = {
             attr: frozenset(frags) for attr, frags in recon.fragment_attrs.items()
         }
+        #: What an attribute load mints: KeyFlow's source attributes
+        #: taint, KeyRecon's fragment attributes name their fragments.
+        self.attr_values = dict(self.key_values)
+        for attr in flow.source_attrs:
+            self.attr_values[attr] = self.attr_values.get(attr, EMPTY) | TAINTED
         self.edges_by_call: Dict[str, list] = {}
         for edge in recon.derivations:
             self.edges_by_call.setdefault(edge.call, []).append(edge)

@@ -49,7 +49,7 @@ class TestCommittedBaseline:
         )
         tools = [e["tool"] for e in payload["results"]]
         assert tools == [
-            "keylint", "keyflow", "keystate", "keycount", "keyrecon",
+            "keylint", "keyflow+keyrecon", "keystate", "keycount",
             "keyspan", "analyze",
         ]
         for e in payload["results"]:

@@ -2,16 +2,22 @@
 """Benchmark the static-analysis stack over ``src/repro``.
 
 Times each layer end to end — keylint (AST hygiene lint), KeyFlow
-(interprocedural taint), KeyState (interprocedural typestate),
-KeyCount (quantitative copy bounds), KeyRecon (fragment
-reconstructability), KeySpan (symbolic exposure windows) and the
-combined ``analyze`` meta-runner (all six over one shared IR build) —
-and writes
+(interprocedural taint) and KeyRecon (fragment reconstructability)
+together, KeyState (interprocedural typestate), KeyCount (quantitative
+copy bounds), KeySpan (symbolic exposure windows) and the combined
+``analyze`` meta-runner (all six over one shared IR build) — and
+writes
 ``BENCH_static_analysis.json`` at the repo root so the
 analysis-performance trajectory is tracked alongside the simulation
 benchmarks.  Each entry records per-layer wall time (best and mean)
 plus the finding count, so a perf regression and a precision
 regression are both visible in one diff.
+
+KeyFlow and KeyRecon are projections of one key-material fixpoint
+(:mod:`repro.analysis.ir.dataflow`), so they share the
+``keyflow+keyrecon`` row: both reports from one IR build, the way
+``repro analyze`` runs them.  Timing either alone would time the same
+fixpoint twice.
 
 Usage::
 
@@ -73,14 +79,17 @@ def _run_keylint():
     return {"findings": len(violations)}
 
 
-def _run_keyflow():
-    from repro.analysis.keyflow import analyze
+def _run_keyflow_keyrecon():
+    from repro.analysis.runall import run_all
 
-    report = analyze(paths=[TARGET])
+    result = run_all(paths=[TARGET], layers=("keyflow", "keyrecon"))
+    keyflow, keyrecon = result.reports["keyflow"], result.reports["keyrecon"]
     return {
-        "findings": len(report.findings),
-        "files": len(report.files),
-        "functions": report.function_count,
+        "findings": len(keyflow.findings) + len(keyrecon.findings),
+        "files": len(result.files),
+        "functions": result.function_count,
+        "leak_set": len(keyflow.leak_set),
+        "reconstructible": len(keyrecon.reconstructible_set),
     }
 
 
@@ -105,18 +114,6 @@ def _run_keycount():
         "files": len(report.files),
         "functions": report.function_count,
         "integrated_total_bound": report.evaluate_total("INTEGRATED", 1),
-    }
-
-
-def _run_keyrecon():
-    from repro.analysis.keyrecon import analyze
-
-    report = analyze(paths=[TARGET])
-    return {
-        "findings": len(report.findings),
-        "files": len(report.files),
-        "functions": report.function_count,
-        "reconstructible": len(report.reconstructible_set),
     }
 
 
@@ -149,10 +146,9 @@ def _run_analyze():
 
 RUNS = [
     ("keylint", _run_keylint),
-    ("keyflow", _run_keyflow),
+    ("keyflow+keyrecon", _run_keyflow_keyrecon),
     ("keystate", _run_keystate),
     ("keycount", _run_keycount),
-    ("keyrecon", _run_keyrecon),
     ("keyspan", _run_keyspan),
     ("analyze", _run_analyze),
 ]
@@ -164,7 +160,7 @@ def _time_stack(repeat):
         entry = _bench(label, fn, repeat)
         results.append(entry)
         print(
-            f"{label:9s} best {entry['best_seconds']:7.3f}s  "
+            f"{label:16s} best {entry['best_seconds']:7.3f}s  "
             f"mean {entry['mean_seconds']:7.3f}s  "
             f"findings {entry['findings']}",
         )
@@ -196,8 +192,8 @@ def check_regression(results, baseline_payload):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="bench_static_analysis",
-        description="time keylint / KeyFlow / KeyState / KeyCount / "
-                    "KeyRecon / analyze over src/repro",
+        description="time keylint / KeyFlow+KeyRecon / KeyState / "
+                    "KeyCount / KeySpan / analyze over src/repro",
     )
     parser.add_argument(
         "--repeat", type=int, default=3,

@@ -33,6 +33,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+#: The package's own source tree: the one default analysis root.
+REPRO_ROOT = Path(__file__).resolve().parents[2]
+
 
 @dataclass
 class FunctionInfo:
@@ -131,6 +134,12 @@ def iter_own_nodes(func_node) -> Iterable[ast.AST]:
             ):
                 continue
             stack.append(child)
+
+
+def analysis_roots(paths: Optional[Sequence[Path]] = None) -> List[Path]:
+    """The roots to analyze: ``paths``, or the shipped tree when
+    ``paths`` is missing or empty."""
+    return [Path(p) for p in paths] if paths else [REPRO_ROOT]
 
 
 def discover_files(paths: Sequence[Path]) -> List[Tuple[Path, Path]]:
@@ -299,3 +308,15 @@ class Project:
 
     def readers_of(self, attr: str) -> Set[str]:
         return self.attr_readers.get(attr, set())
+
+
+def load_project(
+    paths: Optional[Sequence[Path]] = None,
+    files: Optional[Sequence[Tuple[Path, Path]]] = None,
+    project: Optional[Project] = None,
+) -> Project:
+    """The IR build a layer analyzes: ``project`` when the caller has
+    one already, else a fresh parse of :func:`analysis_roots`."""
+    if project is not None:
+        return project
+    return Project.load(analysis_roots(paths), files=files)

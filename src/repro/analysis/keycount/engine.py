@@ -44,7 +44,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..findings import Finding, sort_findings
-from ..ir.project import Project
+from ..ir.project import Project, load_project
 from .config import DEFAULT_CONFIG, REGION_CLASSES, KeyCountConfig
 from .domain import Count
 from .findings import LADDER, KeyCountReport
@@ -56,8 +56,6 @@ from .sites import (
     guards_consistent_with,
     guards_contradictory,
 )
-
-REPRO_ROOT = Path(__file__).resolve().parents[2]
 
 #: One function's execution contexts: (count, guards) pairs.
 Context = Tuple[Count, GuardSet]
@@ -218,21 +216,15 @@ def analyze(
     paths: Optional[Sequence[Path]] = None,
     files: Optional[Sequence[Tuple[Path, Path]]] = None,
     config: KeyCountConfig = DEFAULT_CONFIG,
-    initial_order: Optional[Sequence[str]] = None,
     project: Optional[Project] = None,
 ) -> KeyCountReport:
     """Run KeyCount and return the quantitative report.
 
-    ``initial_order`` is accepted for API symmetry with the other
-    layers (the determinism suite shuffles it); the round-based
-    fixpoint is order-free, so it is ignored.  ``project`` reuses an
+    The round-based fixpoint is order-free.  ``project`` reuses an
     already-loaded IR build (the ``repro analyze`` meta-command parses
     the tree once for every IR layer).
     """
-    del initial_order  # results provably do not depend on it
-    if project is None:
-        roots = [Path(p) for p in paths] if paths else [REPRO_ROOT]
-        project = Project.load(roots, files=files)
+    project = load_project(paths, files, project)
 
     sites: List[CopySite] = []
     edges_by_caller: Dict[str, List[CallEdge]] = {}

@@ -1,8 +1,9 @@
 """KeyFlow entry point: load sources, project the fixpoint, emit a report.
 
-``analyze()`` with no arguments analyzes the installed ``repro``
-package itself — the dogfood configuration used by the CLI, the CI
-baseline gate, and the dynamic⊆static containment test.
+``analyze()`` with no paths (``None`` or ``[]``) analyzes the
+installed ``repro`` package itself — the dogfood configuration used
+by the CLI, the CI baseline gate, and the dynamic⊆static
+containment test.
 
 The taint itself is the ``TAINT`` member of the key-material fixpoint
 shared with KeyRecon (:mod:`repro.analysis.ir.dataflow`): the leak set
@@ -18,13 +19,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.analysis.findings import Finding, sort_findings
 from repro.analysis.keyflow.config import DEFAULT_CONFIG, KeyFlowConfig
 from repro.analysis.ir.dataflow import shared_fixpoint
-from repro.analysis.ir.project import Project
+from repro.analysis.ir.project import Project, load_project
 from repro.analysis.keyflow.findings import KeyFlowReport
 from repro.analysis.keyflow.scrub import check_function
 from repro.analysis.keyrecon.config import DEFAULT_CONFIG as RECON_CONFIG
-
-#: The package's own source tree (default analysis root).
-REPRO_ROOT = Path(__file__).resolve().parents[2]
 
 
 def analyze(
@@ -43,9 +41,7 @@ def analyze(
     meta-command parses the tree once for all layers) and the fixpoint
     memoised on it.
     """
-    if project is None:
-        roots = [Path(p) for p in paths] if paths is not None else [REPRO_ROOT]
-        project = Project.load(roots, files=files)
+    project = load_project(paths, files, project)
 
     analysis = shared_fixpoint(project, config, RECON_CONFIG, initial_order)
 

@@ -1,8 +1,8 @@
 """KeyRecon entry point: project the fixpoint, judge, emit a report.
 
-``analyze()`` with no arguments analyzes the installed ``repro``
-package itself — the dogfood configuration used by the CLI, the CI
-baseline gate, and the dynamic ⊆ static containment test against the
+``analyze()`` with no paths (``None`` or ``[]``) analyzes the
+installed ``repro`` package itself — the dogfood configuration used
+by the CLI, the CI baseline gate, and the dynamic ⊆ static containment test against the
 structural attackers in :mod:`repro.attacks.predict`.
 
 The fragment sets are the key-material fixpoint shared with KeyFlow
@@ -24,13 +24,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.findings import Finding, sort_findings
 from repro.analysis.ir.dataflow import shared_fixpoint
-from repro.analysis.ir.project import Project
+from repro.analysis.ir.project import Project, load_project
 from repro.analysis.keyflow.config import DEFAULT_CONFIG as FLOW_CONFIG
 from repro.analysis.keyrecon.config import DEFAULT_CONFIG, KeyReconConfig
 from repro.analysis.keyrecon.findings import KeyReconReport
-
-#: The package's own source tree (default analysis root).
-REPRO_ROOT = Path(__file__).resolve().parents[2]
 
 
 def _judge(
@@ -67,9 +64,7 @@ def analyze(
     meta-command parses the tree once for all layers) and the fixpoint
     memoised on it.
     """
-    if project is None:
-        roots = [Path(p) for p in paths] if paths is not None else [REPRO_ROOT]
-        project = Project.load(roots, files=files)
+    project = load_project(paths, files, project)
 
     analysis = shared_fixpoint(project, FLOW_CONFIG, config, initial_order)
 

@@ -53,13 +53,17 @@ from repro.core.protection import ProtectionLevel, ProtectionPolicy, policy_for
 
 from ..findings import sort_findings
 from ..ir.cfg import CFG, CFGNode, build_cfg
-from ..ir.project import FunctionInfo, Project, call_terminal, iter_own_nodes
+from ..ir.project import (
+    FunctionInfo,
+    Project,
+    call_terminal,
+    iter_own_nodes,
+    load_project,
+)
 from .config import DEFAULT_CONFIG, KeySpanConfig, WindowKind
 from .costs import calls_in_expr, compute_summaries, price_call
 from .domain import Ticks
 from .findings import LADDER, Finding, KeySpanReport
-
-REPRO_ROOT = Path(__file__).resolve().parents[2]
 
 
 # ----------------------------------------------------------------------
@@ -400,20 +404,14 @@ def analyze(
     paths: Optional[Sequence[Path]] = None,
     files: Optional[Sequence[Tuple[Path, Path]]] = None,
     config: KeySpanConfig = DEFAULT_CONFIG,
-    initial_order: Optional[Sequence[str]] = None,
     project: Optional[Project] = None,
 ) -> KeySpanReport:
     """Run KeySpan and return the exposure-window report.
 
-    ``initial_order`` is accepted for API symmetry with the other
-    layers (the determinism suite shuffles it); collection iterates
-    sorted names and the worklist joins are order-free, so it is
-    ignored.  ``project`` reuses an already-loaded IR build.
+    Collection iterates sorted names and the worklist joins are
+    order-free.  ``project`` reuses an already-loaded IR build.
     """
-    del initial_order  # results provably do not depend on it
-    if project is None:
-        roots = [Path(p) for p in paths] if paths else [REPRO_ROOT]
-        project = Project.load(roots, files=files)
+    project = load_project(paths, files, project)
 
     summaries = compute_summaries(project, config)
     reachable = _deployment_reachable(project, config)

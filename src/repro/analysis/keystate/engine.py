@@ -39,16 +39,18 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.findings import sort_findings
 from repro.analysis.ir.cfg import CFG, build_cfg
-from repro.analysis.ir.project import FunctionInfo, Project, call_terminal
+from repro.analysis.ir.project import (
+    FunctionInfo,
+    Project,
+    call_terminal,
+    load_project,
+)
 from repro.analysis.keystate.automata import (
     AUTOMATA,
     Automaton,
     automata_by_name,
 )
 from repro.analysis.keystate.findings import Finding, KeyStateReport, WitnessStep
-
-#: Default analysis root: the simulator package itself.
-REPRO_ROOT = Path(__file__).resolve().parents[2]
 
 #: Origin marker for objects that do not enter through a parameter.
 _LOCAL_ORIGIN = "·"
@@ -1057,22 +1059,18 @@ def analyze(
     paths: Optional[Sequence[Path]] = None,
     files: Optional[Sequence[Tuple[Path, Path]]] = None,
     config: Optional[KeyStateConfig] = None,
-    initial_order: Optional[Sequence[str]] = None,
     project: Optional[Project] = None,
 ) -> KeyStateReport:
     """Run every configured automaton over the project.
 
-    ``files`` and ``initial_order`` exist for the determinism tests:
-    the interprocedural engine iterates full rounds over the *sorted*
-    function list, so results are independent of both.  ``project``
+    ``files`` exists for the determinism tests: the interprocedural
+    engine iterates full rounds over the *sorted* function list, so
+    results are independent of file-discovery order.  ``project``
     reuses an already-loaded IR build (the ``repro analyze``
     meta-command parses the tree once for all layers).
     """
-    del initial_order  # accepted for API symmetry; never affects results
     config = config or KeyStateConfig()
-    if project is None:
-        roots = [Path(p) for p in paths] if paths is not None else [REPRO_ROOT]
-        project = Project.load(roots, files=files)
+    project = load_project(paths, files, project)
     automata = automata_by_name(config.automata)
 
     findings: List[Finding] = []

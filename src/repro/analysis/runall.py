@@ -35,12 +35,16 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.analysis.baseline import BaselineDrift, compare_baseline, load_baseline
-from repro.analysis.ir.project import Project, discover_files
+from repro.analysis.ir.project import (
+    REPRO_ROOT,
+    Project,
+    analysis_roots,
+    discover_files,
+)
 from repro.analysis.lint import LintViolation, lint_file, render_report, render_sarif
 from repro.analysis.sarif import merge_sarif_logs
 
-ANALYSIS_ROOT = Path(__file__).resolve().parent
-REPRO_ROOT = ANALYSIS_ROOT.parent
+ANALYSIS_ROOT = REPRO_ROOT / "analysis"
 
 #: Stack order, for reports and the bench.  Every layer after keylint
 #: is an IR layer: the package ``repro.analysis.<name>`` exposing
@@ -181,7 +185,7 @@ def run_all(
     """Run the selected layers (default: all six) over one IR build."""
     selected = select_layers(layers or ())
 
-    roots = [Path(p) for p in paths] if paths else [REPRO_ROOT]
+    roots = analysis_roots(paths)
     pairs = list(files) if files is not None else discover_files(roots)
     project = Project.load(roots, files=pairs)
 

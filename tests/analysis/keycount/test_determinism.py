@@ -69,11 +69,7 @@ class TestShuffles:
         rng = random.Random(seed)
         pairs = discover_files([root])
         rng.shuffle(pairs)
-        names = list(Project.load([root]).functions)
-        rng.shuffle(names)
-        shuffled = rendered(
-            analyze(paths=[root], files=pairs, initial_order=names)
-        )
+        shuffled = rendered(analyze(paths=[root], files=pairs))
         assert shuffled == baseline
 
     def test_two_full_dogfood_runs_are_byte_identical(self):
@@ -82,13 +78,13 @@ class TestShuffles:
         assert first == second
 
     def test_reversed_discovery_on_real_tree(self):
-        from repro.analysis.keycount.engine import REPRO_ROOT
+        from repro.analysis.ir.project import REPRO_ROOT
 
         pairs = list(reversed(discover_files([REPRO_ROOT])))
         assert rendered(analyze(files=pairs)) == rendered(analyze())
 
     def test_shared_project_build_matches_fresh_parse(self):
-        from repro.analysis.keycount.engine import REPRO_ROOT
+        from repro.analysis.ir.project import REPRO_ROOT
 
         project = Project.load([REPRO_ROOT])
         assert rendered(analyze(project=project)) == rendered(analyze())

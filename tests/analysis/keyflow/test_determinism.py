@@ -87,7 +87,7 @@ class TestShuffles:
         assert first == second
 
     def test_reversed_discovery_on_real_tree(self):
-        from repro.analysis.keyflow.engine import REPRO_ROOT
+        from repro.analysis.ir.project import REPRO_ROOT
 
         pairs = list(reversed(discover_files([REPRO_ROOT])))
         assert rendered(analyze(files=pairs)) == rendered(analyze())

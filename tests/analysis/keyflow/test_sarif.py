@@ -10,7 +10,7 @@ from repro.analysis.sarif import (
     sarif_result,
     validate_sarif,
 )
-from repro.analysis.keyflow.engine import REPRO_ROOT
+from repro.analysis.ir.project import REPRO_ROOT
 
 
 class TestKeyflowSarif:

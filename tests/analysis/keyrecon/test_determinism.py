@@ -84,13 +84,13 @@ class TestShuffles:
         assert first == second
 
     def test_reversed_discovery_on_real_tree(self):
-        from repro.analysis.keyrecon.engine import REPRO_ROOT
+        from repro.analysis.ir.project import REPRO_ROOT
 
         pairs = list(reversed(discover_files([REPRO_ROOT])))
         assert rendered(analyze(files=pairs)) == rendered(analyze())
 
     def test_shared_project_build_matches_fresh_parse(self):
-        from repro.analysis.keyrecon.engine import REPRO_ROOT
+        from repro.analysis.ir.project import REPRO_ROOT
 
         project = Project.load([REPRO_ROOT])
         assert rendered(analyze(project=project)) == rendered(analyze())

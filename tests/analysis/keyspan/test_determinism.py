@@ -61,12 +61,9 @@ class TestDeterminism:
             tree.mkdir()
             make_tree(tree)
         pairs = discover_files([tree])
+        random.Random(seed).shuffle(pairs)
         project = Project.load([tree], files=pairs)
-        names = sorted(project.functions)
-        random.Random(seed).shuffle(names)
-        report = analyze(
-            files=pairs, project=project, initial_order=names
-        )
+        report = analyze(files=pairs, project=project)
         baseline = analyze(paths=[tree])
         assert rendered(report) == rendered(baseline)
 

@@ -6,7 +6,7 @@ import json
 
 from repro.analysis.baseline import compare_baseline, load_baseline
 from repro.analysis.keystate import analyze
-from repro.analysis.keystate.engine import REPRO_ROOT
+from repro.analysis.ir.project import REPRO_ROOT
 from repro.analysis.runall import baseline_path
 from tests.analysis.baseline_contract import BaselineFileContract
 

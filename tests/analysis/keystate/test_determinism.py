@@ -13,7 +13,7 @@ import random
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.ir.project import Project, discover_files
+from repro.analysis.ir.project import discover_files
 from repro.analysis.keystate import analyze
 
 FIXTURE_SOURCES = {
@@ -78,11 +78,7 @@ class TestShuffles:
         rng = random.Random(seed)
         pairs = discover_files([root])
         rng.shuffle(pairs)
-        names = list(Project.load([root]).functions)
-        rng.shuffle(names)
-        shuffled = rendered(
-            analyze(paths=[root], files=pairs, initial_order=names)
-        )
+        shuffled = rendered(analyze(paths=[root], files=pairs))
         assert shuffled == baseline
 
     def test_fixture_findings_are_nonempty(self, tmp_path):
@@ -99,7 +95,7 @@ class TestShuffles:
         assert first == second
 
     def test_reversed_discovery_on_real_tree(self):
-        from repro.analysis.keystate.engine import REPRO_ROOT
+        from repro.analysis.ir.project import REPRO_ROOT
 
         pairs = list(reversed(discover_files([REPRO_ROOT])))
         assert rendered(analyze(files=pairs)) == rendered(analyze())

@@ -1,4 +1,4 @@
-"""The static-analysis runtime gate: budget math and baseline shape."""
+"""The ledger's one gate: budget math, committed rows, CI wiring."""
 
 import importlib.util
 import json
@@ -7,51 +7,128 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 spec = importlib.util.spec_from_file_location(
-    "bench_static_analysis", REPO_ROOT / "tools" / "bench_static_analysis.py"
+    "ledger", REPO_ROOT / "tools" / "ledger.py"
 )
-bench = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(bench)
+ledger = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(ledger)
+
+STATIC_ROWS = ["keylint", "keyflow+keyrecon", "keystate", "keycount",
+               "keyspan", "analyze"]
+HOT_LOOPS = ["scan_256mb_full", "shadow_census_256mb", "taint_audit_16mb",
+             "taint_sessions_16mb", "keygen_cold_1024"]
 
 
-def entry(tool, best):
-    return {"tool": tool, "best_seconds": best, "mean_seconds": best}
+def row(name, best):
+    return {"name": name, "best_seconds": best}
+
+
+def gate(fresh, committed):
+    return ledger.check_regression(fresh, {"rows": committed})
+
+
+def committed_ledger():
+    return json.loads(
+        (REPO_ROOT / "BENCH_ledger.json").read_text(encoding="utf-8")
+    )
 
 
 class TestBudgetMath:
+    """One budget for every row: a static layer and a hot loop alike."""
+
     def test_within_budget_passes(self):
-        baseline = {"results": [entry("keyflow", 1.0)]}
-        assert bench.check_regression([entry("keyflow", 1.0)], baseline) == []
-        # 20% + floor: the budget is 1.2 + 0.15 ≈ 1.35
-        assert bench.check_regression([entry("keyflow", 1.34)], baseline) == []
+        for name in ("keyflow+keyrecon", "scan_256mb_full"):
+            assert gate([row(name, 1.0)], [row(name, 1.0)]) == []
+            # 20% + floor: the budget is 1.2 + 0.15 ≈ 1.35
+            assert gate([row(name, 1.34)], [row(name, 1.0)]) == []
 
     def test_regression_beyond_budget_fails(self):
-        baseline = {"results": [entry("keyflow", 1.0)]}
-        failures = bench.check_regression([entry("keyflow", 1.4)], baseline)
-        assert len(failures) == 1
-        assert "keyflow" in failures[0]
+        for name in ("keyflow+keyrecon", "scan_256mb_full"):
+            failures = gate([row(name, 1.4)], [row(name, 1.0)])
+            assert len(failures) == 1
+            assert name in failures[0]
 
     def test_floor_absorbs_noise_on_fast_layers(self):
-        baseline = {"results": [entry("keylint", 0.05)]}
-        # 3x slower in relative terms, but inside the absolute floor
-        assert bench.check_regression([entry("keylint", 0.15)], baseline) == []
+        for name in ("keylint", "shadow_census_256mb"):
+            # 3x slower in relative terms, but inside the absolute floor
+            assert gate([row(name, 0.15)], [row(name, 0.05)]) == []
 
     def test_new_layer_without_baseline_is_not_a_regression(self):
-        baseline = {"results": [entry("keyflow", 1.0)]}
-        assert bench.check_regression([entry("brandnew", 9.9)], baseline) == []
+        assert gate([row("brand_new_row", 9.9)], [row("analyze", 1.0)]) == []
+
+    def test_each_row_judged_independently(self):
+        failures = gate(
+            [row("analyze", 0.5), row("keygen_cold_1024", 5.0)],
+            [row("analyze", 1.0), row("keygen_cold_1024", 0.1)],
+        )
+        assert len(failures) == 1
+        assert "keygen_cold_1024" in failures[0]
+
+
+class TestSpeedupPolicy:
+    def test_minimum_speedup_is_two(self):
+        assert ledger.MIN_SPEEDUP == 2.0
+        assert (ledger.REGRESSION_RATIO, ledger.FLOOR_SECONDS) == (1.2, 0.15)
+
+    def test_output_path_is_repo_root(self):
+        """The trajectory tooling globs root BENCH_*.json."""
+        assert ledger.DEFAULT_OUT == REPO_ROOT / "BENCH_ledger.json"
+
+
+class TestHotLoops:
+    def test_taint_sessions_row_is_emitted(self, monkeypatch):
+        """The KeySan write-hook row runs with the other hot loops (the
+        rest are stubbed out here; two sessions keep it quick)."""
+        sessions = ledger.HOT_LOOPS["taint_sessions_16mb"]
+        stubs = {name: lambda repeat: {"best_seconds": 0.1}
+                 for name in ledger.HOT_LOOPS}
+        stubs["taint_sessions_16mb"] = lambda repeat: sessions(repeat, 2)
+        monkeypatch.setattr(ledger, "STATIC_ROWS", {})
+        monkeypatch.setattr(ledger, "HOT_LOOPS", stubs)
+        rows = {r["name"]: r for r in ledger.measure_rows(1)}
+        assert list(rows) == HOT_LOOPS
+        emitted = rows["taint_sessions_16mb"]
+        assert emitted["best_seconds"] > 0
+        assert emitted["sessions"] == 2
+        assert emitted["events_matched"] > 0
 
 
 class TestCommittedBaseline:
     def test_baseline_covers_every_layer(self):
-        payload = json.loads(
-            (REPO_ROOT / "BENCH_static_analysis.json").read_text(
-                encoding="utf-8"
-            )
+        """Six static rows, then the five hot loops, all in one list."""
+        rows = committed_ledger()["rows"]
+        assert [r["name"] for r in rows] == STATIC_ROWS + HOT_LOOPS
+        assert list(ledger.STATIC_ROWS) + list(ledger.HOT_LOOPS) == (
+            STATIC_ROWS + HOT_LOOPS
         )
-        tools = [e["tool"] for e in payload["results"]]
-        assert tools == [
-            "keylint", "keyflow+keyrecon", "keystate", "keycount",
-            "keyspan", "analyze",
+        for r in rows:
+            assert r["best_seconds"] > 0
+        for r in rows[:len(STATIC_ROWS)]:
+            assert "findings" in r
+
+    def test_baseline_exists_at_repo_root_only(self):
+        assert [p.name for p in REPO_ROOT.glob("BENCH_*.json")] == [
+            "BENCH_ledger.json"
         ]
-        for e in payload["results"]:
-            assert e["best_seconds"] > 0
-            assert "findings" in e
+        assert not list((REPO_ROOT / "tools").glob("bench_*.py"))
+
+    def test_baseline_shape_and_invariants(self):
+        payload = committed_ledger()
+        assert payload["benchmark"] == "ledger"
+        sweep = payload["sweep"]
+        assert sweep["cells_identical"] is True
+        assert sweep["min_speedup"] == 2.0
+        # On a multi-core writer the assertion must be armed and met;
+        # a single-core writer records the honest ratio unasserted.
+        if sweep["speedup_asserted"]:
+            assert sweep["speedup"] >= sweep["min_speedup"]
+        else:
+            assert sweep["cpu_count"] == 1
+
+    def test_ci_runs_the_gate_with_both_flags(self):
+        workflow = (REPO_ROOT / ".github" / "workflows" / "ci.yml").read_text(
+            encoding="utf-8"
+        )
+        assert workflow.count("tools/ledger.py") == 1
+        assert "tools/ledger.py --require-speedup --check-regression" \
+            in workflow
+        assert "BENCH_ledger.json" in workflow

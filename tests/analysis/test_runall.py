@@ -1,10 +1,12 @@
 """The analyze meta-command: six layers, one IR build, one SARIF."""
 
+import importlib
 import json
 
 import pytest
 
 from repro.analysis import runall
+from repro.analysis.ir import project as ir_project
 from repro.analysis.ir.project import Project
 from repro.analysis.runall import LAYERS, parse_layers, run_all
 from repro.analysis.sarif import merge_sarif_logs, validate_sarif
@@ -134,6 +136,30 @@ class TestLayerSelection:
     def test_unknown_layer_raises_before_the_ir_build(self):
         with pytest.raises(ValueError):
             run_all(layers=("keylint", "nonsense"))
+
+
+class TestDefaultRoot:
+    """Every layer and ``run_all`` share one default analysis root."""
+
+    @pytest.mark.parametrize(
+        "entry", ["keyflow", "keystate", "keycount", "keyrecon", "keyspan",
+                  "run_all"],
+    )
+    def test_missing_or_empty_paths_mean_the_default_root(
+        self, entry, tmp_path, monkeypatch
+    ):
+        tree = tmp_path / "pkg"
+        tree.mkdir()
+        (tree / "__init__.py").write_text("", encoding="utf-8")
+        (tree / "mod.py").write_text("def f():\n    return 1\n",
+                                     encoding="utf-8")
+        monkeypatch.setattr(ir_project, "REPRO_ROOT", tree)
+        if entry == "run_all":
+            analyze = run_all
+        else:
+            analyze = importlib.import_module(f"repro.analysis.{entry}").analyze
+        for paths in (None, []):
+            assert analyze(paths=paths).files == ["__init__.py", "mod.py"]
 
 
 class TestMergeSarif:

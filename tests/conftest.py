@@ -15,6 +15,13 @@ from repro.kernel.fs import SimFileSystem
 from repro.kernel.kernel import Kernel, KernelConfig
 
 
+def pytest_addoption(parser):
+    parser.addoption(
+        "--update-golden", action="store_true", default=False,
+        help="rewrite tests/golden/ from this run instead of comparing",
+    )
+
+
 @pytest.fixture
 def kernel():
     """A small vulnerable machine (2.6.10, 8 MB)."""

@@ -303,7 +303,9 @@ class ApacheServer:
         rsa = worker.rsa
         premaster = self.rng.randrange(2, rsa.n - 1)
         ciphertext = pow(premaster, rsa.e, rsa.n)  # client side
-        recovered = rsa_private_operation(worker.rsa, ciphertext)
+        recovered = rsa_private_operation(
+            worker.rsa, ciphertext, known=premaster
+        )
         if recovered != premaster:
             raise WorkloadError("premaster secret mismatch")
         self.kernel.clock.charge_connection_setup()

@@ -364,7 +364,7 @@ class OpenSSHServer:
         the child recovers it with the private operation."""
         secret = self.rng.randrange(2, rsa.n - 1)
         ciphertext = pow(secret, rsa.e, rsa.n)  # client-side, not charged
-        recovered = rsa_private_operation(rsa, ciphertext)
+        recovered = rsa_private_operation(rsa, ciphertext, known=secret)
         if recovered != secret:
             raise WorkloadError("session-key decryption mismatch")
         self.kernel.clock.charge_connection_setup()

@@ -18,18 +18,38 @@ Where key bytes go during a private operation, by configuration:
 
 All arithmetic inputs are read back *from simulated memory*, so a
 corrupted or scrubbed key produces wrong results rather than silently
-using a Python-side copy.
+using a Python-side copy.  A caller that chose the plaintext itself
+(the sshd key exchange, the TLS premaster) passes it as ``known``.
+The engine still makes every read, allocation, scratch write and clock
+charge, but it skips the two CRT exponentiations when an algebraic
+guard over the values read back holds: ``p*q == n``, ``dmp1`` and
+``dmq1`` invert ``e`` modulo ``p-1`` and ``q-1``, ``iqmp`` inverts
+``q`` modulo ``p``, and ``known`` lies in ``[0, n)`` and encrypts to
+``x``.  Unique factorisation and Fermat then make ``known`` exactly
+the CRT result, and ``known % p`` exactly the scratch value ``m1``.  A
+scrubbed, torn or corrupted part, or a wrong ``known``, fails the
+guard and takes the real exponentiations, so callers' mismatch checks
+still fire.  A factor that reads back as 0 or 1 raises
+:class:`CryptoError`.
 """
 
 from __future__ import annotations
+
+from typing import Optional
 
 from repro.crypto.rsa import int_to_bytes
 from repro.errors import CryptoError, RsaStructError
 from repro.ssl.rsa_st import MontgomeryContext, RsaFlag, RsaStruct
 
 
-def rsa_private_operation(rsa: RsaStruct, x: int) -> int:
-    """Compute ``x^d mod n`` by CRT, with faithful buffer behaviour."""
+def rsa_private_operation(
+    rsa: RsaStruct, x: int, known: Optional[int] = None
+) -> int:
+    """Compute ``x^d mod n`` by CRT, with faithful buffer behaviour.
+
+    ``known`` is the caller's own plaintext, if it has one; it is
+    returned only when the key read back from memory is proven to
+    decrypt ``x`` to it."""
     rsa._note_lifecycle("serve")
     if rsa.freed:
         raise RsaStructError("private operation on freed RSA struct")
@@ -60,10 +80,31 @@ def rsa_private_operation(rsa: RsaStruct, x: int) -> int:
     dmq1 = rsa.bn["dmq1"].value()
     iqmp = rsa.bn["iqmp"].value()
 
-    m1 = pow(x % p, dmp1, p)
-    m2 = pow(x % q, dmq1, q)
-    h = ((m1 - m2) * iqmp) % p
-    result = (m2 + h * q) % (p * q)
+    if p <= 1 or q <= 1:
+        for ctx in transient:
+            ctx.free(clear=False)
+        raise CryptoError("degenerate RSA modulus: a factor reads back <= 1")
+
+    e, n = rsa.e, rsa.n
+    if (
+        known is not None
+        and p * q == n
+        and e * dmp1 % (p - 1) == 1
+        and e * dmq1 % (q - 1) == 1
+        and q * iqmp % p == 1
+        and 0 <= known < n
+        and pow(known, e, n) == x
+    ):
+        # rsa.n is the product of two primes, so p and q read back are
+        # those primes, and by Fermat the CRT below would compute
+        # exactly this m1 and this result.
+        m1 = known % p
+        result = known
+    else:
+        m1 = pow(x % p, dmp1, p)
+        m2 = pow(x % q, dmq1, q)
+        h = ((m1 - m2) * iqmp) % p
+        result = (m2 + h * q) % (p * q)
 
     # BN_CTX scratch: intermediates live briefly on the heap.  Their
     # values (m1, m2) are *not* key-part patterns, but the allocation

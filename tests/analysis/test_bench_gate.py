@@ -17,7 +17,7 @@ spec.loader.exec_module(ledger)
 STATIC_ROWS = ["keylint", "keyflow+keyrecon", "keystate", "keycount",
                "keyspan", "analyze"]
 HOT_LOOPS = ["scan_256mb_full", "shadow_census_256mb", "taint_audit_16mb",
-             "taint_sessions_16mb", "keygen_cold_1024"]
+             "serve_sessions_16mb", "taint_sessions_16mb", "keygen_cold_1024"]
 
 
 def row(name, best):
@@ -94,10 +94,18 @@ class TestHotLoops:
         assert emitted["sessions"] == 2
         assert emitted["events_matched"] > 0
 
+    def test_serve_sessions_row_runs_without_keysan(self):
+        """The same sessions with no sanitizer attached: the row the
+        RSA private operation's cost shows in."""
+        emitted = ledger.HOT_LOOPS["serve_sessions_16mb"](1, 2)
+        assert emitted["best_seconds"] > 0
+        assert emitted["sessions"] == 2
+        assert "events_matched" not in emitted
+
 
 class TestCommittedBaseline:
     def test_baseline_covers_every_layer(self):
-        """Six static rows, then the five hot loops, all in one list."""
+        """Six static rows, then the six hot loops, all in one list."""
         rows = committed_ledger()["rows"]
         assert [r["name"] for r in rows] == STATIC_ROWS + HOT_LOOPS
         assert list(ledger.STATIC_ROWS) + list(ledger.HOT_LOOPS) == (

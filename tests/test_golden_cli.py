@@ -52,17 +52,12 @@ CASES = [
 ]
 
 
-def _strip_wall_clock(text: str) -> str:
-    return _WALL_CLOCK.sub("", text)
-
-
 @pytest.mark.parametrize(
     "name, status, argv", CASES, ids=[case[0] for case in CASES]
 )
 def test_cli_matches_the_golden_output(name, status, argv, request):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
-    ))
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     proc = subprocess.run(
         [sys.executable, "-m", "repro", *argv], env=env, cwd=ROOT,
         stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
@@ -70,10 +65,11 @@ def test_cli_matches_the_golden_output(name, status, argv, request):
     assert proc.returncode == status
     out = proc.stdout
     if argv[0] == "sweep":
-        stripped = _strip_wall_clock(out)
+        stripped = _WALL_CLOCK.sub("", out)
         assert stripped.count("\n") == out.count("\n") - 1
         out = stripped
-    path = GOLDEN / name
+    golden = GOLDEN / name
     if request.config.getoption("--update-golden"):
-        path.write_text(out, encoding="utf-8")
-    assert out == path.read_text(encoding="utf-8"), f"repro {argv[0]} drifted"
+        golden.write_text(out, encoding="utf-8")
+    expected = golden.read_text(encoding="utf-8")
+    assert out == expected, f"repro {argv[0]} drifted"

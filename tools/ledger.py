@@ -13,8 +13,9 @@ the trajectory tooling reads every ``BENCH_*.json``).  It holds a flat
   regression show in one diff.
 * **Hot loops.**  The loops the sweep and the taint audits spend their
   time in: the 256 MB sparse memory scan, the KeySan shadow census,
-  one KeySan audit of a 16 MB machine, 100 scp sessions under KeySan's
-  write hook, and cold per-run keygen (beside the warm corpus hit).
+  one KeySan audit of a 16 MB machine, 100 scp sessions without and
+  with KeySan's write hook, and cold per-run keygen (beside the warm
+  corpus hit).
 * **Sweep speedup.**  The quick-scale OpenSSH n_tty sweep runs serially
   and on a pool after the key corpus is prewarmed, so neither side
   pays keygen in the timed region.  The cells must be byte-identical.
@@ -36,6 +37,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -184,11 +186,11 @@ def _shadow_census_256mb(repeat: int) -> dict:
             "taint_runs": runs}
 
 
-def _taint_machine() -> Simulation:
-    """A booted 16 MB openssh/none machine under KeySan."""
+def _machine(taint: bool) -> Simulation:
+    """A booted 16 MB openssh/none machine, under KeySan if ``taint``."""
     sim = Simulation(SimulationConfig(
         server="openssh", level=ProtectionLevel.NONE, memory_mb=16,
-        seed=SEED, taint=True,
+        seed=SEED, taint=taint,
     ))
     sim.start_server()
     return sim
@@ -196,7 +198,7 @@ def _taint_machine() -> Simulation:
 
 def _taint_audit_16mb(repeat: int) -> dict:
     """One KeySan audit (census + full scan + cross-check)."""
-    sim = _taint_machine()
+    sim = _machine(taint=True)
     sim.cycle_connections(8)
 
     def audit_once():
@@ -210,13 +212,14 @@ def _taint_audit_16mb(repeat: int) -> dict:
     }
 
 
-def _taint_sessions_16mb(repeat: int, sessions: int = 100) -> dict:
-    """scp sessions under KeySan's write hook.  Each repetition boots a
-    fresh machine outside the timed region, so each times the same
-    sessions."""
+def _sessions_16mb(taint: bool, repeat: int, sessions: int = 100) -> dict:
+    """scp sessions on a 16 MB machine, under KeySan's write hook if
+    ``taint``; without it, apps, kernel and the RSA private operation
+    alone.  Each repetition boots a fresh machine outside the timed
+    region, so each times the same sessions."""
     best = None
     for _ in range(repeat):
-        sim = _taint_machine()
+        sim = _machine(taint)
         start = time.perf_counter()
         for index in range(sessions):
             sim.server.run_connection_cycle(
@@ -224,11 +227,10 @@ def _taint_sessions_16mb(repeat: int, sessions: int = 100) -> dict:
             )
         elapsed = time.perf_counter() - start
         best = elapsed if best is None else min(best, elapsed)
-    return {
-        "best_seconds": best,
-        "sessions": sessions,
-        "events_matched": sim.keysan.events_matched,
-    }
+    row = {"best_seconds": best, "sessions": sessions}
+    if taint:
+        row["events_matched"] = sim.keysan.events_matched
+    return row
 
 
 def _keygen_cold(repeat: int) -> dict:
@@ -247,7 +249,8 @@ HOT_LOOPS = {
     "scan_256mb_full": _scan_256mb_full,
     "shadow_census_256mb": _shadow_census_256mb,
     "taint_audit_16mb": _taint_audit_16mb,
-    "taint_sessions_16mb": _taint_sessions_16mb,
+    "serve_sessions_16mb": functools.partial(_sessions_16mb, False),
+    "taint_sessions_16mb": functools.partial(_sessions_16mb, True),
     f"keygen_cold_{KEY_BITS}": _keygen_cold,
 }
 

@@ -1,4 +1,5 @@
-"""Golden lock for the simulation CLIs: taint, chaos, soak and sweep.
+"""Golden lock for the simulation CLIs: taint, chaos, soak, sweep, scan
+and timeline.
 
 Each case runs one ``repro`` command in a fresh interpreter at a
 small, fixed scale and compares its stdout byte for byte with
@@ -49,6 +50,17 @@ CASES = [
     ("sweep_ntty.json", 1,
      ["sweep", "--kind", "ntty", "--scale", "quick", "--key-bits", "512",
       "--memory-mb", "8", "--out", "-"]),
+    # 143 copies, several patterns per frame.
+    ("scan_openssh.txt", 0,
+     ["scan", "--server", "openssh", "--seed", "3", "--limit", "400"]),
+    # The shared aligned key page: one frame, many owning PIDs.
+    ("scan_apache_integrated.txt", 0,
+     ["scan", "--server", "apache", "--level", "integrated", "--seed", "3",
+      "--limit", "400"]),
+    # 30 incremental scans over one run.
+    ("timeline_openssh.txt", 0,
+     ["timeline", "--server", "openssh", "--seed", "3",
+      "--cycles-per-slot", "1", "--incremental"]),
 ]
 
 

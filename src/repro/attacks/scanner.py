@@ -168,6 +168,9 @@ class MemoryScanner:
 
         view = physmem.raw_view()
         report = ScanReport(scanned_bytes=rescanned)
+        # Nothing changes a frame during a scan, so each frame hit is
+        # classified (rmap walk included) once per scan.
+        frames: Dict[int, Tuple[bool, str, List[int]]] = {}
         for name, pattern in self.patterns.items():
             last_end = -1
             for offset in self._occurrences[name]:
@@ -178,10 +181,21 @@ class MemoryScanner:
                 full = matched == len(pattern)
                 if not full and not self.include_partial:
                     continue
-                match = self._classify(name, offset)
-                match.matched_bytes = matched
-                match.full = full
-                report.matches.append(match)
+                frame = offset // physmem.page_size
+                state = frames.get(frame)
+                if state is None:
+                    state = frames[frame] = self._classify(frame)
+                allocated, region, owners = state
+                report.matches.append(ScanMatch(
+                    pattern=name,
+                    address=offset,
+                    frame=frame,
+                    allocated=allocated,
+                    region=region,
+                    owners=list(owners),
+                    matched_bytes=matched,
+                    full=full,
+                ))
         report.matches.sort(key=lambda match: match.address)
         self.kernel.clock.advance(
             SCAN_US_PER_MB * (rescanned / (1024 * 1024)), "scan"
@@ -247,8 +261,8 @@ class MemoryScanner:
             matched += 1
         return matched
 
-    def _classify(self, pattern_name: str, address: int) -> ScanMatch:
-        frame = address // self.kernel.physmem.page_size
+    def _classify(self, frame: int) -> Tuple[bool, str, List[int]]:
+        """``(allocated, region, owners)`` of one frame."""
         page = self.kernel.page(frame)
         owners = self.kernel.rmap.owners_of(page)
         if page.reserved:
@@ -261,11 +275,4 @@ class MemoryScanner:
             region = "kernel_buffer"
         else:
             region = "free"
-        return ScanMatch(
-            pattern=pattern_name,
-            address=address,
-            frame=frame,
-            allocated=page.allocated,
-            region=region,
-            owners=owners,
-        )
+        return page.allocated, region, owners

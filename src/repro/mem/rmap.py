@@ -15,7 +15,7 @@ every sshd child.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, List, Set
+from typing import TYPE_CHECKING, List
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.kernel.vm import Vma
@@ -58,24 +58,25 @@ class ReverseMap:
     def owners_of(self, page: "Page") -> List[int]:
         """Return the sorted PIDs of processes that map ``page``.
 
-        Mirrors the module's logic: walk the page's anon_vma chain and,
-        for each chained VMA, walk the process list comparing ``mm``
-        pointers.  Returns ``[0]`` (the kernel) for allocated pages with
-        no anon_vma, and ``[]`` for free pages.
+        Mirrors the module's logic: walk the page's anon_vma chain for
+        the VMAs that map the frame, then walk the process list once,
+        comparing ``mm`` pointers against theirs.  Returns ``[0]`` (the
+        kernel) for allocated pages with no anon_vma, and ``[]`` for
+        free pages.
         """
         if page.anon_vma is not None:
-            pids: Set[int] = set()
-            for vma in page.anon_vma.vmas:
-                if not vma.maps_frame(page.frame):
-                    continue
-                for process in self._process_iter():
-                    if process.mm is vma.mm:
-                        pids.add(process.pid)
-            return sorted(pids)
+            mms = {
+                id(vma.mm)
+                for vma in page.anon_vma.vmas
+                if vma.maps_frame(page.frame)
+            }
+            if not mms:
+                return []
+            return sorted({
+                process.pid
+                for process in self._process_iter()
+                if id(process.mm) in mms
+            })
         if page.count > 0 or page.reserved:
             return [0]
         return []
-
-    def owners_of_frames(self, pages: Iterable["Page"]) -> List[List[int]]:
-        """Vectorised :meth:`owners_of` for scan batches."""
-        return [self.owners_of(page) for page in pages]

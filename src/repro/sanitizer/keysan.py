@@ -188,7 +188,7 @@ class KeySan:
         self.kernel = kernel
         self.window = window
         self.invariant_stride = invariant_stride
-        self.shadow = ShadowMap(kernel.physmem.size)
+        self.shadow = ShadowMap(kernel.physmem.size, kernel.physmem.page_size)
         self.tags: Dict[int, TaintTag] = {}
         self._tags_by_name: Dict[str, TaintTag] = {}
         self._origins: Dict[str, int] = {}
@@ -638,7 +638,7 @@ class KeySan:
         """
         page_size = self.kernel.physmem.page_size
         census: Dict[str, Dict[str, int]] = {}
-        for start, length in self.shadow.iter_tainted_chunks(page_size):
+        for start, length in self.shadow.iter_tainted_chunks():
             region = self._region_of(start // page_size)
             for run in self.shadow.runs_in(start, length):
                 tag = self.tags.get(run.tag_id)
@@ -742,7 +742,7 @@ class KeySan:
 
         # One walk over the tainted chunks: per-tag/per-region census,
         # fragments (runs inside no full copy), page-cache residue.
-        for start, length in self.shadow.iter_tainted_chunks(page_size):
+        for start, length in self.shadow.iter_tainted_chunks():
             frame = start // page_size
             region = self._region_of(frame)
             for run in self.shadow.runs_in(start, length):

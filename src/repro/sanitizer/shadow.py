@@ -13,10 +13,12 @@ Flat arrays mean bulk operations (clearing a frame, copying a frame
 for COW, counting taint in a freed block) run as C-speed slice
 assignments — the shadow adds near-zero overhead to the paths it
 instruments, mirroring how hardware-assisted taint trackers keep
-shadow memory flat.  Queries gallop: clean stretches are skipped with
-:func:`~repro.mem.bytesearch.first_nonzero` block compares and
-same-tag/same-origin runs are measured with compiled repeated-unit
-patterns, so nothing iterates Python-per-byte on the hot paths.
+shadow memory flat.  Beside them sits a set of the blocks (pages) that
+may hold taint, so a whole-memory walk visits only those blocks, never
+the clean rest of RAM.  Inside a block, clean stretches are skipped
+with :func:`~repro.mem.bytesearch.first_nonzero` and same-tag/same-
+origin runs are measured with compiled repeated-unit patterns, so
+nothing iterates Python-per-byte on the hot paths.
 
 Tag and origin values are small integer ids; the interning tables live
 in :class:`~repro.sanitizer.keysan.KeySan`, keeping this module a pure
@@ -70,14 +72,21 @@ class TaintRun:
 
 
 class ShadowMap:
-    """Per-byte taint state for a flat address space of ``size`` bytes."""
+    """Per-byte taint state for a flat address space of ``size`` bytes,
+    walked in ``block``-byte windows (the machine's page size)."""
 
-    def __init__(self, size: int) -> None:
+    def __init__(self, size: int, block: int = 4096) -> None:
         if size <= 0:
             raise ValueError("shadow size must be positive")
+        if block <= 0:
+            raise ValueError("block must be positive")
         self.size = size
+        self.block = block
         self._tags = bytearray(size)
         self._origins = array("H", bytes(2 * size))
+        #: Indices of the blocks that may hold taint: every tainted
+        #: block is here; a clean one leaves when a walk finds it.
+        self._blocks: Set[int] = set()
 
     # ------------------------------------------------------------------
     # mutation
@@ -86,6 +95,12 @@ class ShadowMap:
         if length < 0 or addr < 0 or addr + length > self.size:
             raise ValueError(
                 f"shadow range [{addr}, {addr + length}) outside [0, {self.size})"
+            )
+
+    def _mark(self, addr: int, length: int) -> None:
+        if length:
+            self._blocks.update(
+                range(addr // self.block, (addr + length - 1) // self.block + 1)
             )
 
     def set_range(self, addr: int, length: int, tag_id: int, origin_id: int) -> None:
@@ -97,6 +112,7 @@ class ShadowMap:
             raise ValueError(f"origin id must be in [0, {MAX_ORIGIN_ID}]")
         self._tags[addr : addr + length] = bytes([tag_id]) * length
         self._origins[addr : addr + length] = array("H", (origin_id,)) * length
+        self._mark(addr, length)
 
     def clear_range(self, addr: int, length: int) -> None:
         """Untaint ``length`` bytes at ``addr`` (they were overwritten)."""
@@ -108,8 +124,11 @@ class ShadowMap:
         """Propagate taint along a memory-to-memory copy (COW, memcpy)."""
         self._check(src, length)
         self._check(dst, length)
-        self._tags[dst : dst + length] = self._tags[src : src + length]
+        tags = self._tags[src : src + length]
+        self._tags[dst : dst + length] = tags
         self._origins[dst : dst + length] = self._origins[src : src + length]
+        if tags.count(0) != length:
+            self._mark(dst, length)
 
     # ------------------------------------------------------------------
     # queries
@@ -152,12 +171,13 @@ class ShadowMap:
     def runs_in(self, addr: int, length: int) -> List[TaintRun]:
         """Maximal same-tag/same-origin tainted runs inside the range.
 
-        Clean stretches are galloped over with block compares and run
-        lengths are measured with compiled ``(?:unit)+`` repetitions —
-        one C-speed match per run, never Python-per-byte.  The origin
-        run matches 2-byte units over the raw ``array('H')`` buffer;
-        starting at an even byte offset and consuming exact units, it
-        can never fall out of entry alignment.
+        Clean stretches are skipped with
+        :func:`~repro.mem.bytesearch.first_nonzero` and run lengths are
+        measured with compiled ``(?:unit)+`` repetitions — one C-speed
+        match per run, never Python-per-byte.  The origin run matches
+        2-byte units over the raw ``array('H')`` buffer; starting at an
+        even byte offset and consuming exact units, it can never fall
+        out of entry alignment.
         """
         self._check(addr, length)
         runs: List[TaintRun] = []
@@ -186,24 +206,20 @@ class ShadowMap:
             origin_bytes.release()
         return runs
 
-    def iter_tainted_chunks(self, chunk: int = 4096) -> Iterator[Tuple[int, int]]:
-        """Yield ``(start, length)`` for every ``chunk``-aligned window
-        containing at least one tainted byte — the fast outer loop for
-        whole-memory report generation.  Clean memory costs galloping
-        block compares, not a per-chunk census."""
-        if chunk <= 0:
-            raise ValueError("chunk must be positive")
+    def iter_tainted_chunks(self) -> Iterator[Tuple[int, int]]:
+        """Yield ``(start, length)``, in address order, for every
+        ``block``-aligned window holding at least one tainted byte — the
+        outer loop of whole-memory reports.  Only the indexed blocks are
+        visited; each one found clean leaves the index."""
         tags = self._tags
-        size = self.size
-        pos = 0
-        while pos < size:
-            tainted = first_nonzero(tags, pos, size)
-            if tainted >= size:
-                return
-            start = (tainted // chunk) * chunk
-            length = min(chunk, size - start)
-            yield start, length
-            pos = start + length
+        block = self.block
+        for index in sorted(self._blocks):
+            start = index * block
+            length = min(block, self.size - start)
+            if first_nonzero(tags, start, start + length) < start + length:
+                yield start, length
+            else:
+                self._blocks.discard(index)
 
     def total_tainted(self) -> int:
         return self.size - self._tags.count(0)

@@ -71,6 +71,64 @@ class TestNonzeroIntervals:
         assert first_nonzero(bytes(64)) == 64
 
 
+#: Offsets around the zero search's probe (256 bytes), its
+#: ``ZERO_GAP`` finishing block, the ends of its first gallop blocks
+#: (4, 8 and 16 KiB after the probe) and the halves of the 8 and
+#: 16 KiB blocks, where an off-by-one would show.
+_EDGES = [0, 255, 256, 4095, 4096, 4097, 4351, 4352, 8447, 8448,
+          12543, 12544, 20736, 28927, 28928]
+
+#: Longer than the gallop's largest block (1 MiB).
+_LONG = (1 << 20) + 3 * 4096
+
+#: Past the first block the gallop reaches after it has hit its 1 MiB
+#: cap: blocks must stay 1 MiB from there on.
+_PAST_CAP = 3 * (1 << 20) + 5000
+
+
+@st.composite
+def _first_nonzero_cases(draw):
+    """``(buffer, start, end)``: mostly-zero data with nonzero bytes at
+    the probe and block edges, sometimes past a > 1 MiB zero run."""
+    size = draw(st.one_of(st.integers(1, 32_000), st.integers(_LONG, _LONG + 9000)))
+    start = draw(st.integers(0, min(size, 6000)))
+    end = draw(st.one_of(st.just(size), st.integers(start, size)))
+    buf = bytearray(size)
+    base = draw(st.sampled_from([0, start, max(start, size - 29_000)]))
+    for edge in draw(st.lists(st.sampled_from(_EDGES), max_size=3)):
+        if base + edge < size:
+            buf[base + edge] = draw(st.integers(1, 255))
+    for pos in draw(st.lists(st.integers(0, size - 1), max_size=2)):
+        buf[pos] = draw(st.integers(1, 255))
+    kind = draw(st.sampled_from(["bytes", "bytearray", "view"]))
+    if kind == "bytes":
+        return bytes(buf), start, end
+    if kind == "bytearray":
+        return buf, start, end
+    # A partial view: nonzero padding on both sides must stay unseen.
+    backing = b"\xff" * 7 + bytes(buf) + b"\xff" * 5
+    return memoryview(backing)[7 : 7 + size], start, end
+
+
+class TestFirstNonzero:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(case=_first_nonzero_cases())
+    def test_equals_the_naive_scan(self, case):
+        buf, start, end = case
+        naive = next((i for i in range(start, end) if buf[i]), end)
+        assert first_nonzero(buf, start, end) == naive
+
+    @pytest.mark.parametrize("kind", ["bytes", "bytearray", "view"])
+    @pytest.mark.parametrize("offset", _EDGES + [_LONG - 1, _PAST_CAP])
+    def test_lone_byte_at_every_edge(self, kind, offset):
+        buf = bytearray(max(_LONG, offset) + 4096)
+        buf[offset] = 9
+        haystack = {"bytes": bytes(buf), "bytearray": buf,
+                    "view": memoryview(b"\xff" + buf)[1:]}[kind]
+        assert first_nonzero(haystack) == offset
+        assert first_nonzero(haystack, offset + 1) == len(buf)
+
+
 class TestSparseEqualsFull:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(haystack=_haystacks(), data=st.data())

@@ -4,8 +4,11 @@
 copies all of RAM and the whole swap device, searches every pattern
 twice over the RAM copy (once for the copy census, once for the
 full-copy spans), tests each tainted run against every span, and counts
-tainted bytes over the whole shadow.  The shipped ``report`` does the
-same census in single sparse passes.  Both run on machines driven
+tainted bytes over the whole shadow.  It walks the shadow on its own:
+every page is tested with ``bytearray.count`` and runs are built one
+byte at a time, so neither the shadow's tainted-block index nor its
+zero search is trusted.  The shipped ``report`` does the same census
+in single sparse passes.  Both run on machines driven
 through sessions at every ``ProtectionLevel``, with swap-out under
 memory pressure, an injected torn swap write, page-cache residue and
 an n_tty disclosure, and must agree on every field.
@@ -30,6 +33,31 @@ from repro.sanitizer.report import (
     TaintDiagnostic,
     TaintReport,
 )
+from repro.sanitizer.shadow import TaintRun
+from tests.sanitizer.test_shadow import _naive_runs
+
+
+def _tainted_pages(shadow, page_size: int) -> List[int]:
+    """Every page holding a nonzero tag, each one counted in full."""
+    return [
+        start for start in range(0, shadow.size, page_size)
+        if shadow._tags.count(0, start, min(shadow.size, start + page_size))
+        != min(page_size, shadow.size - start)
+    ]
+
+
+def _summary(keysan, runs: List[TaintRun]):
+    """``KeySan._range_summary`` over runs the oracle built itself."""
+    tags: Dict[str, int] = {}
+    origins: List[str] = []
+    for run in runs:
+        tag = keysan.tags.get(run.tag_id)
+        name = tag.name if tag is not None else f"tag#{run.tag_id}"
+        tags[name] = tags.get(name, 0) + run.length
+        origin = keysan.origin_name(run.origin_id)
+        if origin not in origins:
+            origins.append(origin)
+    return tags, tuple(origins)
 
 
 def reference_report(keysan, patterns) -> TaintReport:
@@ -55,19 +83,27 @@ def reference_report(keysan, patterns) -> TaintReport:
         for (tag_id, page), birth in sorted(keysan._open.items())
     ]
 
-    for start, length in keysan.shadow.iter_tainted_chunks(page_size):
+    shadow = keysan.shadow
+
+    def page_runs(start: int) -> List[TaintRun]:
+        """One page's runs, built one byte at a time."""
+        stop = min(start + page_size, shadow.size)
+        return _naive_runs(shadow._tags, shadow._origins, start, stop)
+
+    tainted = {start: page_runs(start) for start in _tainted_pages(shadow, page_size)}
+    for start, runs in tainted.items():
         region = keysan._region_of(start // page_size)
-        for run in keysan.shadow.runs_in(start, length):
+        for run in runs:
             name = _tag_name(run.tag_id)
             report.by_tag[name] = report.by_tag.get(name, 0) + run.length
             report.by_region[region] = report.by_region.get(region, 0) + run.length
 
-    for start, _ in keysan.shadow.iter_tainted_chunks(page_size):
+    for start, runs in tainted.items():
         frame = start // page_size
         page = keysan.kernel.page(frame)
         if not page.in_pagecache:
             continue
-        tags, origins = keysan._range_summary(frame * page_size, page_size)
+        tags, origins = _summary(keysan, runs)
         report.diagnostics.append(
             TaintDiagnostic(
                 kind="pagecache-residue",
@@ -96,7 +132,7 @@ def reference_report(keysan, patterns) -> TaintReport:
         report.untracked_copies[name] = untracked
     for page in sorted(copy_pages):
         region = keysan._region_of(page)
-        _, origins = keysan._range_summary(page * page_size, page_size)
+        _, origins = _summary(keysan, page_runs(page * page_size))
         report.copies.append(
             CopyRecord(
                 page=page,
@@ -123,8 +159,8 @@ def reference_report(keysan, patterns) -> TaintReport:
             full_spans.append((pos, pos + len(pattern)))
             pos = snapshot.find(pattern, pos + len(pattern))
     full_spans.sort()
-    for start, length in keysan.shadow.iter_tainted_chunks(page_size):
-        for run in keysan.shadow.runs_in(start, length):
+    for runs in tainted.values():
+        for run in runs:
             if not any(lo <= run.start and run.end <= hi for lo, hi in full_spans):
                 report.fragments += 1
     return report

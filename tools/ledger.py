@@ -12,7 +12,8 @@ the trajectory tooling reads every ``BENCH_*.json``).  It holds a flat
   counts sit beside the time, so a perf regression and a precision
   regression show in one diff.
 * **Hot loops.**  The loops the sweep and the taint audits spend their
-  time in: the 256 MB sparse memory scan, the KeySan shadow census,
+  time in: the 256 MB sparse memory scan, a full scan of an apache
+  worker pool's many key copies, the KeySan shadow census,
   one KeySan audit of a 16 MB machine, 100 scp sessions without and
   with KeySan's write hook, and cold per-run keygen (beside the warm
   corpus hit).
@@ -60,7 +61,7 @@ from repro.analysis.parallel import (
     prewarm_corpus,
     run_specs,
 )
-from repro.analysis.perfbench import SCP_FILE_SIZES
+from repro.analysis.perfbench import SCP_FILE_SIZES, SIEGE_RESPONSE_BYTES
 from repro.analysis.runall import run_all
 from repro.attacks.keysearch import KeyPatternSet
 from repro.attacks.scanner import MemoryScanner
@@ -170,6 +171,26 @@ def _scan_256mb_full(repeat: int) -> dict:
     return {"best_seconds": _best_of(scan_once, repeat)[0], "matches": matches}
 
 
+def _scan_apache_pool_16mb(repeat: int) -> dict:
+    """A full scan of a 16 MB apache/none machine whose 20-worker pool
+    has served 200 requests: many key copies, one rmap chain each."""
+    sim = Simulation(SimulationConfig(
+        server="apache", level=ProtectionLevel.NONE, memory_mb=16, seed=SEED,
+    ))
+    sim.start_server()
+    sim.server.ensure_pool(20)
+    for _ in range(200):
+        sim.server.handle_request(SIEGE_RESPONSE_BYTES)
+    scanner = MemoryScanner(sim.kernel, sim.patterns)
+    matches = scanner.scan().total
+
+    def scan_once():
+        scanner.reset_cache()
+        scanner.scan()
+
+    return {"best_seconds": _best_of(scan_once, repeat)[0], "matches": matches}
+
+
 def _shadow_census_256mb(repeat: int) -> dict:
     """The KeySan census over a 256 MB shadow map."""
     shadow = ShadowMap(256 * 1024 * 1024)
@@ -179,7 +200,7 @@ def _shadow_census_256mb(repeat: int) -> dict:
 
     def census_once():
         return sum(len(shadow.runs_in(start, length))
-                   for start, length in shadow.iter_tainted_chunks(4096))
+                   for start, length in shadow.iter_tainted_chunks())
 
     runs = census_once()
     return {"best_seconds": _best_of(census_once, repeat)[0],
@@ -247,6 +268,7 @@ def _keygen_cold(repeat: int) -> dict:
 
 HOT_LOOPS = {
     "scan_256mb_full": _scan_256mb_full,
+    "scan_apache_pool_16mb": _scan_apache_pool_16mb,
     "shadow_census_256mb": _shadow_census_256mb,
     "taint_audit_16mb": _taint_audit_16mb,
     "serve_sessions_16mb": functools.partial(_sessions_16mb, False),

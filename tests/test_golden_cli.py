@@ -1,5 +1,5 @@
-"""Golden lock for the simulation CLIs: taint, chaos, soak, sweep, scan
-and timeline.
+"""Golden lock for the simulation CLIs: demo, attack, ladder, taint,
+chaos, soak, sweep, scan and timeline.
 
 Each case runs one ``repro`` command in a fresh interpreter at a
 small, fixed scale and compares its stdout byte for byte with
@@ -31,8 +31,18 @@ GOLDEN = ROOT / "tests" / "golden"
 
 _WALL_CLOCK = re.compile(r'^  "wall_clock_s": [0-9.e+-]+,\n', re.MULTILINE)
 
+#: The machine the demo, attack and ladder cases load.
+_TINY = ["--memory-mb", "8", "--key-bits", "256", "--connections", "4",
+         "--seed", "3"]
+
 #: (golden file, expected exit status, argv)
 CASES = [
+    ("demo.txt", 0, ["demo", *_TINY]),
+    ("attack_ext2.txt", 0, ["attack", "--exploit", "ext2", *_TINY]),
+    ("attack_ntty.txt", 0, ["attack", "--exploit", "ntty", *_TINY]),
+    ("attack_swap.txt", 0, ["attack", "--exploit", "swap", *_TINY]),
+    # Every protection level on one openssh machine shape.
+    ("ladder.txt", 0, ["ladder", *_TINY]),
     ("taint_openssh.txt", 0,
      ["taint", "--server", "openssh", "--seed", "3", "--memory-mb", "16"]),
     ("taint_apache.txt", 0,

@@ -25,19 +25,26 @@ The engine merges outcomes back into the existing
 :class:`~repro.analysis.experiments.Ext2SweepResult` /
 :class:`~repro.analysis.experiments.NttySweepResult` types, which is
 what every benchmark and CSV exporter already consumes.
+
+:func:`run_specs` is the package's only way to fan runs out: the chaos
+and soak campaigns (:mod:`repro.faults.campaign`) hand it their
+schedules as jobs with their own runner.  It never starts more workers
+than the process may use cores (:func:`available_cores`), so a
+one-core host runs every job serially and starts no pool.
 """
 
 from __future__ import annotations
 
-import hashlib
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor, TimeoutError as FutureTimeout
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.protection import ProtectionLevel
 from repro.core.simulation import Simulation, SimulationConfig
+from repro.crypto.randsrc import hash_seed
 from repro.errors import WorkloadError
 
 #: Spec kinds the engine knows how to execute.
@@ -146,16 +153,11 @@ def derive_seed(spec: RunSpec) -> int:
     sweep's cells are identical at any worker count; and no two specs
     of any grid share a seed (SHA-256, not parameter arithmetic).
     """
-    blob = "|".join(
-        str(part)
-        for part in (
-            "repro-sweep-v1", spec.kind, spec.server, spec.level,
-            spec.conns, spec.dirs, spec.rep, spec.base_seed,
-            spec.memory_mb, spec.key_bits,
-        )
+    return hash_seed(
+        "repro-sweep-v1", spec.kind, spec.server, spec.level,
+        spec.conns, spec.dirs, spec.rep, spec.base_seed,
+        spec.memory_mb, spec.key_bits,
     )
-    digest = hashlib.sha256(blob.encode("ascii")).digest()
-    return int.from_bytes(digest[:8], "big")
 
 
 # ----------------------------------------------------------------------
@@ -280,17 +282,25 @@ def execute_spec(spec: RunSpec) -> RunOutcome:
     )
 
 
+def available_cores() -> int:
+    """Cores this process may run on (its affinity mask, where the OS
+    has one): a pinned process cannot speed a pool up."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _run_chunk(
-    indexed: List[Tuple[int, RunSpec]],
-    runner: Callable[[RunSpec], RunOutcome] = execute_spec,
-) -> List[Tuple[int, object]]:
-    """Worker entry point: run a chunk, never raise past one spec."""
-    results: List[Tuple[int, object]] = []
-    for index, spec in indexed:
+    indexed: List[Tuple[int, Any]], runner: Callable[[Any], Any] = execute_spec
+) -> List[Tuple[int, bool, Any]]:
+    """Worker entry point: run a chunk, never raise past one job.  Each
+    entry is ``(index, True, result)`` or ``(index, False, error)``."""
+    results: List[Tuple[int, bool, Any]] = []
+    for index, job in indexed:
         try:
-            results.append((index, runner(spec)))
+            results.append((index, True, runner(job)))
         except Exception as exc:  # recorded, not fatal to the chunk
-            results.append((index, f"{type(exc).__name__}: {exc}"))
+            results.append((index, False, f"{type(exc).__name__}: {exc}"))
     return results
 
 
@@ -311,14 +321,13 @@ def stderr_progress(label: str) -> ProgressFn:
 
 
 def run_specs(
-    specs: Sequence[RunSpec],
+    specs: Sequence[Any],
     workers: int = 1,
     timeout_s: Optional[float] = None,
-    chunksize: Optional[int] = None,
     progress: Optional[ProgressFn] = None,
     retries: int = 0,
-    runner: Callable[[RunSpec], RunOutcome] = execute_spec,
-) -> Tuple[List[Optional[RunOutcome]], List[FailedRun]]:
+    runner: Callable[[Any], Any] = execute_spec,
+) -> Tuple[List[Any], List[FailedRun]]:
     """Execute every spec; return (outcomes by spec index, failures).
 
     ``outcomes[i]`` is ``None`` exactly when ``specs[i]`` appears in
@@ -327,6 +336,8 @@ def run_specs(
     (``"timeout"``) instead of blocking forever on a wedged worker.
     Results are merged by spec index, so the outcome (and any result
     built from it) is identical for every ``workers`` value.
+    ``workers`` is capped at :func:`available_cores`; at one worker
+    the specs run in this process and no pool starts.
 
     ``retries`` re-runs failed specs up to that many extra times with
     exponential backoff (:data:`RETRY_BACKOFF_BASE_S`, doubling per
@@ -335,14 +346,17 @@ def run_specs(
     succeeds is byte-identical to a first-try success.  Retries share
     the sweep's global deadline; specs still failing after the last
     retry are reported with their attempt count.  ``runner`` replaces
-    :func:`execute_spec` (tests inject flaky runners with it).
+    :func:`execute_spec`: the campaigns pass their schedule runner,
+    tests inject flaky ones.  Any picklable spec and runner work.
     """
-    total = len(specs)
-    outcomes: List[Optional[RunOutcome]] = [None] * total
-    if not total:
-        return outcomes, []
     if retries < 0:
         raise ValueError("retries must be non-negative")
+    total = len(specs)
+    outcomes: List[Any] = [None] * total
+    if not total:
+        return outcomes, []
+    if workers > 1:
+        workers = min(workers, available_cores())
     started = time.monotonic()
     deadline = started + timeout_s if timeout_s is not None else None
 
@@ -353,52 +367,50 @@ def run_specs(
         eta = elapsed / done * (total - done)
         progress(done, total, elapsed, eta)
 
+    # One pool serves every pass: executor spawn (and the workers'
+    # interpreter boot) is a per-sweep cost, not a per-attempt one.
+    pool: Optional[ProcessPoolExecutor] = None
+
     def _one_pass(
-        indexed: List[Tuple[int, RunSpec]], report_progress: bool
+        indexed: List[Tuple[int, Any]], report_progress: bool
     ) -> Dict[int, str]:
         """Run one attempt over ``indexed``; fill ``outcomes``, return
-        the error string for every index that did not produce one."""
-        errors: Dict[int, str] = {}
-        if workers <= 1:
-            for done, (index, spec) in enumerate(indexed, start=1):
-                if deadline is not None and time.monotonic() > deadline:
-                    errors[index] = "timeout"
-                    continue
-                for slot, result in _run_chunk([(index, spec)], runner):
-                    if isinstance(result, RunOutcome):
-                        outcomes[slot] = result
-                    else:
-                        errors[slot] = str(result)
-                if report_progress:
-                    _tick(done)
-            return errors
-
-        size = chunksize
-        if size is None:
-            size = max(1, len(indexed) // (workers * 4))
+        the error string for every index that did not produce one.
+        Serially, each spec is a chunk run here when its turn comes."""
+        nonlocal pool
+        if workers > 1 and pool is None:
+            pool = ProcessPoolExecutor(max_workers=workers)
+        size = 1 if pool is None else max(1, len(indexed) // (workers * 4))
         chunks = [
             indexed[start : start + size]
             for start in range(0, len(indexed), size)
         ]
-        done = 0
-        crashed = False
-        pool = _get_pool()
         futures = [
-            (pool.submit(_run_chunk, chunk, runner), chunk)
+            pool.submit(_run_chunk, chunk, runner) if pool else None
             for chunk in chunks
         ]
-        for future, chunk in futures:
+        errors: Dict[int, str] = {}
+        done = 0
+        crashed = False
+        for future, chunk in zip(futures, chunks):
             remaining = None
             if deadline is not None:
                 remaining = max(0.0, deadline - time.monotonic())
             try:
-                for slot, result in future.result(timeout=remaining):
-                    if isinstance(result, RunOutcome):
-                        outcomes[slot] = result
+                if future is not None:
+                    results = future.result(timeout=remaining)
+                elif remaining == 0.0:
+                    raise FutureTimeout
+                else:
+                    results = _run_chunk(chunk, runner)
+                for slot, ok, value in results:
+                    if ok:
+                        outcomes[slot] = value
                     else:
-                        errors[slot] = str(result)
+                        errors[slot] = value
             except FutureTimeout:
-                future.cancel()
+                if future is not None:
+                    future.cancel()
                 for index, _spec in chunk:
                     errors[index] = "timeout"
             except Exception as exc:  # worker died (BrokenProcessPool, ...)
@@ -408,23 +420,10 @@ def run_specs(
             done += len(chunk)
             if report_progress:
                 _tick(done)
-        if crashed:
-            _reset_pool()  # a broken executor cannot take new work
+        if crashed:  # a broken executor cannot take new work
+            pool.shutdown(wait=False, cancel_futures=True)
+            pool = None
         return errors
-
-    # One pool serves every pass: executor spawn (and the workers'
-    # interpreter boot) is a per-sweep cost, not a per-attempt one.
-    pool_box: List[Optional[ProcessPoolExecutor]] = [None]
-
-    def _get_pool() -> ProcessPoolExecutor:
-        if pool_box[0] is None:
-            pool_box[0] = ProcessPoolExecutor(max_workers=workers)
-        return pool_box[0]
-
-    def _reset_pool() -> None:
-        if pool_box[0] is not None:
-            pool_box[0].shutdown(wait=False, cancel_futures=True)
-            pool_box[0] = None
 
     try:
         errors = _one_pass(list(enumerate(specs)), report_progress=True)
@@ -438,7 +437,8 @@ def run_specs(
             errors = _one_pass(retry_indexed, report_progress=False)
             attempts += 1
     finally:
-        _reset_pool()
+        if pool is not None:
+            pool.shutdown(wait=False, cancel_futures=True)
     failures = [
         FailedRun(specs[index], errors[index],
                   attempts=attempts, backoff_s=backoff_s)

@@ -26,11 +26,17 @@ from repro.core.protection import ProtectionLevel
 from repro.core.simulation import Simulation, SimulationConfig
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_server(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--server", choices=("openssh", "apache"), default="openssh",
         help="which server to run (default: openssh)",
     )
+
+
+def _add_machine(parser: argparse.ArgumentParser) -> None:
+    """Server, level and seed, as ``sweep`` and every one-machine
+    command take them."""
+    _add_server(parser)
     parser.add_argument(
         "--level",
         choices=[level.value for level in ProtectionLevel],
@@ -38,12 +44,20 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         help="protection level to deploy (default: none)",
     )
     parser.add_argument("--seed", type=int, default=42, help="experiment seed")
+
+
+def _add_key_bits(parser: argparse.ArgumentParser, default: int) -> None:
+    parser.add_argument(
+        "--key-bits", type=int, default=default, help="RSA modulus size"
+    )
+
+
+def _add_common(parser: argparse.ArgumentParser) -> None:
+    _add_machine(parser)
     parser.add_argument(
         "--memory-mb", type=int, default=16, help="machine RAM in MB"
     )
-    parser.add_argument(
-        "--key-bits", type=int, default=1024, help="RSA modulus size"
-    )
+    _add_key_bits(parser, 1024)
     parser.add_argument(
         "--connections", type=int, default=12,
         help="concurrent connections to hold during measurement",
@@ -267,51 +281,49 @@ def _sweep_grids(args: argparse.Namespace):
     }
 
 
-def _ntty_cells_json(result) -> list:
-    return [
-        {
-            "connections": conns,
+def _cells_json(result) -> list:
+    """A sweep's cells, keyed N (ntty) or (N, D) (ext2)."""
+    rows = []
+    for key, cell in sorted(result.cells.items()):
+        if isinstance(key, tuple):
+            row = {"connections": key[0], "directories": key[1]}
+        else:
+            row = {"connections": key}
+        rows.append({
+            **row,
             "avg_copies": cell.avg_copies,
             "success_rate": cell.success_rate,
             "avg_elapsed_s": cell.avg_elapsed_s,
             "samples": cell.samples,
-        }
-        for conns, cell in sorted(result.cells.items())
-    ]
+        })
+    return rows
 
 
-def _ext2_cells_json(result) -> list:
-    return [
-        {
-            "connections": conns,
-            "directories": dirs,
-            "avg_copies": cell.avg_copies,
-            "success_rate": cell.success_rate,
-            "avg_elapsed_s": cell.avg_elapsed_s,
-            "samples": cell.samples,
-        }
-        for (conns, dirs), cell in sorted(result.cells.items())
-    ]
+def _write_report(
+    payload: dict, out: Optional[str], default_name: str, sort_keys: bool
+) -> Optional[str]:
+    """The report writer of ``sweep``, ``chaos`` and ``soak``: print the
+    JSON when ``out`` is ``-``; otherwise write it to ``out`` (default
+    ``benchmarks/results/<default_name>``), making the directory, and
+    return the path written."""
+    import json
+    from pathlib import Path
 
-
-def _failures_json(failures) -> list:
-    import dataclasses
-
-    return [
-        {
-            "spec": dataclasses.asdict(failure.spec),
-            "error": failure.error,
-            "attempts": failure.attempts,
-            "backoff_s": failure.backoff_s,
-        }
-        for failure in failures
-    ]
+    text = json.dumps(payload, indent=2, sort_keys=sort_keys)
+    if out == "-":
+        print(text)
+        return None
+    path = Path(out) if out is not None else (
+        Path("benchmarks") / "results" / default_name
+    )
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text + "\n")
+    return str(path)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    import json
+    import dataclasses
     import time
-    from pathlib import Path
 
     from repro.analysis import parallel
     from repro.analysis.experiments import (
@@ -347,13 +359,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
+    if args.retries < 0:
+        print("--retries must be non-negative", file=sys.stderr)
+        return 2
     if args.kind == "ntty":
         result = ntty_attack_sweep(
             args.server, grids["ntty_connections"], grids["ntty_repetitions"],
             level, seed=args.seed, memory_mb=ntty_mb,
             key_bits=args.key_bits, attacker=args.attacker, **common,
         )
-        payload.update(memory_mb=ntty_mb, cells=_ntty_cells_json(result))
+        payload.update(memory_mb=ntty_mb, cells=_cells_json(result))
         failures = result.failures
     elif args.kind == "ext2":
         result = ext2_attack_sweep(
@@ -362,7 +377,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             memory_mb=ext2_mb, key_bits=args.key_bits,
             attacker=args.attacker, **common,
         )
-        payload.update(memory_mb=ext2_mb, cells=_ext2_cells_json(result))
+        payload.update(memory_mb=ext2_mb, cells=_cells_json(result))
         failures = result.failures
     elif args.kind == "mitigation":
         baseline, mitigated = mitigation_comparison(
@@ -372,8 +387,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         )
         payload.update(
             memory_mb=ntty_mb,
-            baseline=_ntty_cells_json(baseline),
-            mitigated=_ntty_cells_json(mitigated),
+            baseline=_cells_json(baseline),
+            mitigated=_cells_json(mitigated),
         )
         failures = baseline.failures + mitigated.failures
     else:  # perf: before/after scp or siege through the same pool
@@ -403,144 +418,83 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             )
     payload["retries"] = args.retries
     payload["wall_clock_s"] = round(time.monotonic() - started, 3)
-    payload["failures"] = _failures_json(failures)
+    payload["failures"] = [dataclasses.asdict(f) for f in failures]
 
-    out = args.out
-    if out is None:
-        out = (Path("benchmarks") / "results" /
-               f"sweep_{args.kind}_{args.server}_{args.scale}.json")
-    text = json.dumps(payload, indent=2, sort_keys=False)
-    if str(out) == "-":
-        print(text)
-    else:
-        out = Path(out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(text + "\n")
+    out = _write_report(
+        payload, args.out, f"sweep_{args.kind}_{args.server}_{args.scale}.json",
+        sort_keys=False,
+    )
+    if out is not None:
         print(f"sweep {args.kind}/{args.server} @ {args.scale}: "
               f"{payload['wall_clock_s']}s wall clock, "
               f"{len(payload['failures'])} failed runs -> {out}")
     return 1 if failures else 0
 
 
-def cmd_chaos(args: argparse.Namespace) -> int:
-    import json
-    from pathlib import Path
+#: Each campaign's per-level summary line, formatted with its level
+#: summary ``s`` and its report ``r``.
+_CAMPAIGN_LINES = {
+    "chaos": (
+        "{s[faults_fired]} faults fired over {s[schedules]} schedules: "
+        "{s[connections_ok]} connections served, {s[rejected]} rejected, "
+        "{s[unhandled]} unhandled, {s[leak_schedules]} leaking schedules"
+    ),
+    "soak": (
+        "{s[faults_fired]} faults fired over {s[schedules]} schedules x "
+        "{r[generations]} generations: {s[restarts]} restarts "
+        "(max latency {s[restart_latency_us][max]} virtual us), "
+        "{s[refused_connections]} refused, "
+        "{s[degraded_generations]} degraded, {s[unhandled]} unhandled, "
+        "{s[invariant_violations]} invariant violations, "
+        "{s[leak_schedules]} leaking schedules "
+        "({s[cross_incarnation_taint_bytes]} cross-incarnation key bytes)"
+    ),
+}
 
-    from repro.faults.campaign import campaign_ok, run_campaign
 
-    if args.level == "all":
-        levels = list(ProtectionLevel)
+def cmd_campaign(args: argparse.Namespace) -> int:
+    """``chaos`` and ``soak``: run the campaign, write its report, print
+    one summary line per level and the INTEGRATED verdict."""
+    from repro.analysis.parallel import stderr_progress
+
+    if args.command == "chaos":
+        from repro.faults.campaign import CHAOS as campaign, run_campaign as run
+
+        extra = {"faults_per_schedule": args.faults}
     else:
-        levels = [ProtectionLevel(args.level)]
+        from repro.faults.soak import SOAK as campaign, run_soak as run
 
-    def progress(level: str, done: int, total: int) -> None:
-        sys.stderr.write(f"\r[chaos:{level}] {done}/{total} schedules")
-        if done == total:
-            sys.stderr.write("\n")
-        sys.stderr.flush()
-
-    report = run_campaign(
-        server=args.server,
-        levels=levels,
-        seed=args.seed,
-        schedules=args.schedules,
-        faults_per_schedule=args.faults,
-        connections=args.connections,
-        pressure_pages=args.pressure,
-        memory_mb=args.memory_mb,
-        key_bits=args.key_bits,
-        progress=progress,
-    )
-    text = json.dumps(report, indent=2, sort_keys=True)
-    out = args.out
-    if out is None:
-        out = (Path("benchmarks") / "results" /
-               f"chaos_{args.server}_{args.level}.json")
-    if str(out) == "-":
-        print(text)
-    else:
-        out = Path(out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(text + "\n")
+        extra = {"generations": args.generations,
+                 "faults_per_generation": args.faults,
+                 "workers": args.workers}
+    levels = (list(ProtectionLevel) if args.level == "all"
+              else [ProtectionLevel(args.level)])
+    try:
+        report = run(
+            server=args.server,
+            levels=levels,
+            seed=args.seed,
+            schedules=args.schedules,
+            connections=args.connections,
+            pressure_pages=args.pressure,
+            memory_mb=args.memory_mb,
+            key_bits=args.key_bits,
+            progress=stderr_progress(args.command),
+            **extra,
+        )
+    except ValueError as exc:  # a count the campaign cannot run
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 2
+    _write_report(report, args.out, f"{args.command}_{args.server}_{args.level}.json",
+                  sort_keys=True)
     for level_name, data in report["levels"].items():
-        summary = data["summary"]
-        print(f"[{args.server} @ {level_name}] "
-              f"{summary['faults_fired']} faults fired over "
-              f"{summary['schedules']} schedules: "
-              f"{summary['connections_ok']} connections served, "
-              f"{summary['rejected']} rejected, "
-              f"{summary['unhandled']} unhandled, "
-              f"{summary['leak_schedules']} leaking schedules")
+        line = _CAMPAIGN_LINES[args.command].format(s=data["summary"], r=report)
+        print(f"[{args.server} @ {level_name}] {line}")
     invariant = report.get("invariant")
     if invariant is not None:
         verdict = "HOLDS" if invariant["holds"] else "VIOLATED"
         print(f"integrated invariant {verdict}: {invariant['statement']}")
-    return 0 if campaign_ok(report) else 1
-
-
-def cmd_soak(args: argparse.Namespace) -> int:
-    import json
-    from pathlib import Path
-
-    from repro.faults.soak import run_soak, soak_ok
-
-    if args.level == "all":
-        levels = list(ProtectionLevel)
-    else:
-        levels = [ProtectionLevel(args.level)]
-
-    def progress(level: str, done: int, total: int) -> None:
-        sys.stderr.write(f"\r[soak:{level}] {done}/{total} schedules")
-        if done == total:
-            sys.stderr.write("\n")
-        sys.stderr.flush()
-
-    report = run_soak(
-        server=args.server,
-        levels=levels,
-        seed=args.seed,
-        schedules=args.schedules,
-        generations=args.generations,
-        faults_per_generation=args.faults,
-        connections=args.connections,
-        pressure_pages=args.pressure,
-        memory_mb=args.memory_mb,
-        key_bits=args.key_bits,
-        workers=args.workers,
-        progress=progress,
-    )
-    text = json.dumps(report, indent=2, sort_keys=True)
-    out = args.out
-    if out is None:
-        out = (Path("benchmarks") / "results" /
-               f"soak_{args.server}_{args.level}.json")
-    if str(out) == "-":
-        print(text)
-    else:
-        out = Path(out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(text + "\n")
-    for level_name, data in report["levels"].items():
-        summary = data["summary"]
-        latency = summary["restart_latency_us"]
-        print(f"[{args.server} @ {level_name}] "
-              f"{summary['faults_fired']} faults fired over "
-              f"{summary['schedules']} schedules x "
-              f"{args.generations} generations: "
-              f"{summary['restarts']} restarts "
-              f"(max latency {latency['max']} virtual us), "
-              f"{summary['refused_connections']} refused, "
-              f"{summary['degraded_generations']} degraded, "
-              f"{summary['unhandled']} unhandled, "
-              f"{summary['invariant_violations']} invariant violations, "
-              f"{summary['leak_schedules']} leaking schedules "
-              f"({summary['cross_incarnation_taint_bytes']} "
-              f"cross-incarnation key bytes)")
-    invariant = report.get("invariant")
-    if invariant is not None:
-        verdict = "HOLDS" if invariant["holds"] else "VIOLATED"
-        print(f"integrated invariant {verdict}: {invariant['statement']}")
-    return 0 if soak_ok(report) else 1
+    return 0 if campaign.ok(report) else 1
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
@@ -557,6 +511,50 @@ def cmd_scan(args: argparse.Namespace) -> int:
     if report.total > args.limit:
         print(f"  ... and {report.total - args.limit} more")
     return 0
+
+
+def _add_campaign(
+    sub, name: str, help: str, verb: str, unit: str, schedules: int,
+    faults: int, connections: int, pressure: int,
+) -> argparse.ArgumentParser:
+    """The arguments ``chaos`` and ``soak`` share, with each command's
+    own defaults; ``unit`` is what faults and connections count per."""
+    parser = sub.add_parser(name, help=help)
+    _add_server(parser)
+    parser.add_argument(
+        "--level",
+        choices=[level.value for level in ProtectionLevel] + ["all"],
+        default="integrated",
+        help=f"protection level to {verb}, or 'all' (default: integrated)",
+    )
+    parser.add_argument("--seed", type=int, default=42, help="campaign seed")
+    parser.add_argument(
+        "--schedules", type=int, default=schedules,
+        help=f"{name} schedules (fresh machines) per level "
+             f"(default: {schedules})",
+    )
+    parser.add_argument(
+        "--faults", type=int, default=faults,
+        help=f"fault events drawn per {unit} (default: {faults})",
+    )
+    parser.add_argument(
+        "--connections", type=int, default=connections,
+        help=f"connection cycles per {unit} (default: {connections})",
+    )
+    parser.add_argument(
+        "--pressure", type=int, default=pressure,
+        help=f"pages reclaimed mid-{unit} to exercise the swap sites",
+    )
+    parser.add_argument(
+        "--memory-mb", type=int, default=8, help="machine RAM in MB"
+    )
+    _add_key_bits(parser, 256)
+    parser.add_argument(
+        "--out", default=None,
+        help=f"{name} report path ('-' prints to stdout; default "
+             f"benchmarks/results/{name}_<server>_<level>.json)",
+    )
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -611,17 +609,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--kind", choices=("ntty", "ext2", "mitigation", "perf"),
         default="ntty", help="which experiment grid to run (default: ntty)",
     )
-    sweep.add_argument(
-        "--server", choices=("openssh", "apache"), default="openssh",
-        help="which server to run (default: openssh)",
-    )
-    sweep.add_argument(
-        "--level",
-        choices=[level.value for level in ProtectionLevel],
-        default="none",
-        help="protection level to deploy (default: none)",
-    )
-    sweep.add_argument("--seed", type=int, default=42, help="experiment seed")
+    _add_machine(sweep)
     sweep.add_argument(
         "--scale", choices=("quick", "paper"), default="quick",
         help="grid size: scaled-down shapes or the paper's full §2 grids",
@@ -644,9 +632,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--memory-mb", type=int, default=None,
         help="machine RAM in MB (default: per-scale/per-kind)",
     )
-    sweep.add_argument(
-        "--key-bits", type=int, default=1024, help="RSA modulus size"
-    )
+    _add_key_bits(sweep, 1024)
     sweep.add_argument(
         "--attacker", choices=("exact", "predict"), default="exact",
         help="dump analysis: 'exact' pattern search (the paper's "
@@ -660,106 +646,34 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.set_defaults(func=cmd_sweep)
 
-    chaos = sub.add_parser(
-        "chaos",
-        help="seeded fault-injection campaign: random fault schedules "
-             "per protection level, post-fault state checked against "
-             "the KeySan oracle",
+    chaos = _add_campaign(
+        sub, "chaos",
+        "seeded fault-injection campaign: random fault schedules "
+        "per protection level, post-fault state checked against "
+        "the KeySan oracle",
+        verb="stress", unit="schedule", schedules=200, faults=6,
+        connections=6, pressure=8,
     )
-    chaos.add_argument(
-        "--server", choices=("openssh", "apache"), default="openssh",
-        help="which server to run (default: openssh)",
-    )
-    chaos.add_argument(
-        "--level",
-        choices=[level.value for level in ProtectionLevel] + ["all"],
-        default="integrated",
-        help="protection level to stress, or 'all' (default: integrated)",
-    )
-    chaos.add_argument("--seed", type=int, default=42, help="campaign seed")
-    chaos.add_argument(
-        "--schedules", type=int, default=200,
-        help="fault schedules (fresh machines) per level (default: 200)",
-    )
-    chaos.add_argument(
-        "--faults", type=int, default=6,
-        help="fault events drawn per schedule (default: 6)",
-    )
-    chaos.add_argument(
-        "--connections", type=int, default=6,
-        help="connection cycles per schedule (default: 6)",
-    )
-    chaos.add_argument(
-        "--pressure", type=int, default=8,
-        help="pages reclaimed mid-schedule to exercise the swap sites",
-    )
-    chaos.add_argument(
-        "--memory-mb", type=int, default=8, help="machine RAM in MB"
-    )
-    chaos.add_argument(
-        "--key-bits", type=int, default=256, help="RSA modulus size"
-    )
-    chaos.add_argument(
-        "--out", default=None,
-        help="campaign report path ('-' prints to stdout; default "
-             "benchmarks/results/chaos_<server>_<level>.json)",
-    )
-    chaos.set_defaults(func=cmd_chaos)
+    chaos.set_defaults(func=cmd_campaign)
 
-    soak = sub.add_parser(
-        "soak",
-        help="supervised crash-recovery soak: fault storms across many "
-             "kill -9/restart generations, post-mortem key audit and "
-             "steady-state invariants checked every generation",
-    )
-    soak.add_argument(
-        "--server", choices=("openssh", "apache"), default="openssh",
-        help="which server to run (default: openssh)",
-    )
-    soak.add_argument(
-        "--level",
-        choices=[level.value for level in ProtectionLevel] + ["all"],
-        default="integrated",
-        help="protection level to soak, or 'all' (default: integrated)",
-    )
-    soak.add_argument("--seed", type=int, default=42, help="campaign seed")
-    soak.add_argument(
-        "--schedules", type=int, default=50,
-        help="soak schedules (fresh machines) per level (default: 50)",
+    soak = _add_campaign(
+        sub, "soak",
+        "supervised crash-recovery soak: fault storms across many "
+        "kill -9/restart generations, post-mortem key audit and "
+        "steady-state invariants checked every generation",
+        verb="soak", unit="generation", schedules=50, faults=3,
+        connections=4, pressure=6,
     )
     soak.add_argument(
         "--generations", type=int, default=5,
         help="crash/restart generations per schedule (default: 5)",
     )
     soak.add_argument(
-        "--faults", type=int, default=3,
-        help="fault events drawn per generation (default: 3)",
-    )
-    soak.add_argument(
-        "--connections", type=int, default=4,
-        help="connection cycles per generation (default: 4)",
-    )
-    soak.add_argument(
-        "--pressure", type=int, default=6,
-        help="pages reclaimed mid-generation to exercise the swap sites",
-    )
-    soak.add_argument(
-        "--memory-mb", type=int, default=8, help="machine RAM in MB"
-    )
-    soak.add_argument(
-        "--key-bits", type=int, default=256, help="RSA modulus size"
-    )
-    soak.add_argument(
         "--workers", type=int, default=1,
         help="parallel schedule workers (reports are byte-identical "
              "for any value; default: 1)",
     )
-    soak.add_argument(
-        "--out", default=None,
-        help="soak report path ('-' prints to stdout; default "
-             "benchmarks/results/soak_<server>_<level>.json)",
-    )
-    soak.set_defaults(func=cmd_soak)
+    soak.set_defaults(func=cmd_campaign)
 
     taint = sub.add_parser(
         "taint",

@@ -19,7 +19,6 @@ patches match the protection level, and instantiates the right server.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Optional, Union
 
@@ -37,7 +36,7 @@ from repro.core.protection import (
     policy_for,
 )
 from repro.crypto.keycorpus import key_material
-from repro.crypto.randsrc import DeterministicRandom
+from repro.crypto.randsrc import DeterministicRandom, hash_seed
 from repro.crypto.rsa import RsaKey
 from repro.errors import WorkloadError
 from repro.kernel.fs import SimFileSystem
@@ -209,10 +208,7 @@ class Simulation:
         run), later generations derive via SHA-256."""
         if incarnation == 0:
             return self.config.seed
-        digest = hashlib.sha256(
-            f"repro-incarnation-v1|{self.config.seed}|{incarnation}".encode("ascii")
-        ).digest()
-        return int.from_bytes(digest[:8], "big")
+        return hash_seed("repro-incarnation-v1", self.config.seed, incarnation)
 
     def provision_key(self, incarnation: int) -> None:
         """Install a fresh host key for the ``incarnation``-th service

@@ -55,10 +55,17 @@ class DeterministicRandom(random.Random):
         Experiments hand each component (keygen, attack, workload) its
         own stream so adding draws to one cannot perturb another.
         """
-        material = f"{self.initial_seed}:{label}".encode("utf-8")
-        digest = hashlib.sha256(material).digest()
-        derived = int.from_bytes(digest[:8], "big") & 0x7FFF_FFFF_FFFF_FFFF
-        return DeterministicRandom(derived)
+        derived = hash_seed(f"{self.initial_seed}:{label}")
+        return DeterministicRandom(derived & 0x7FFF_FFFF_FFFF_FFFF)
+
+
+def hash_seed(*parts: object) -> int:
+    """The package's one seed hash: the first 8 bytes, big-endian, of
+    SHA-256 over ``"|".join(parts)``.  Each caller leads with its own
+    tag (``"repro-sweep-v1"``, ``"repro-chaos-v1"``, ``"repro-soak-v1"``,
+    ``"repro-incarnation-v1"``), so kinds of seed never collide."""
+    blob = "|".join(str(part) for part in parts)
+    return int.from_bytes(hashlib.sha256(blob.encode("utf-8")).digest()[:8], "big")
 
 
 def make_rng(seed: Optional[int] = None) -> DeterministicRandom:

@@ -25,22 +25,31 @@ drains uncleared — which is the paper's point restated under failure.
 Everything is derived from the campaign seed (SHA-256 per schedule, no
 wall clock anywhere in the report), so the same seed reproduces the
 identical report byte-for-byte.
+
+:class:`Campaign` is the envelope chaos shares with soak
+(:mod:`repro.faults.soak`): the level loop, the report header, the
+``invariant`` block and the exit predicate.  Each campaign supplies
+only its schedule runner, its per-level summary and the one summary
+count that fails it.  Schedules fan out through
+:func:`repro.analysis.parallel.run_specs`.
 """
 
 from __future__ import annotations
 
-import hashlib
-from typing import Callable, Dict, Iterable, List, Optional
+import functools
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterable, List, Mapping, Optional
 
+from repro.analysis.parallel import ProgressFn, run_specs
 from repro.core.protection import ProtectionLevel
 from repro.core.simulation import Simulation, SimulationConfig
-from repro.crypto.randsrc import DeterministicRandom
+from repro.crypto.randsrc import DeterministicRandom, hash_seed
 from repro.errors import ConnectionRejectedError, ReproError
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FAULT_SITES, FaultPlan
 
-#: Progress callback: (level, schedules done at this level, total).
-CampaignProgressFn = Callable[[str, int, int], None]
+#: One schedule's JSON-ready record.
+Record = Dict[str, object]
 
 #: Leak categories the headline invariant quantifies over.
 LEAK_KEYS = (
@@ -52,11 +61,96 @@ LEAK_KEYS = (
 )
 
 
-def derive_schedule_seed(base_seed: int, server: str, level: str, index: int) -> int:
-    """Collision-free 64-bit seed for one schedule of one campaign."""
-    blob = f"repro-chaos-v1|{base_seed}|{server}|{level}|{index}"
-    digest = hashlib.sha256(blob.encode("ascii")).digest()
-    return int.from_bytes(digest[:8], "big")
+def _run_job(schedule: Callable[..., Record], knobs: Mapping, job) -> Record:
+    """Pool entry point: run one ``(level, index)`` schedule."""
+    level, index = job
+    return schedule(level=level, index=index, **knobs)
+
+
+@dataclass(frozen=True)
+class Campaign:
+    """One seeded campaign kind: ``schedule(server, level, base_seed,
+    index, **knobs)`` runs one schedule, ``summarize`` folds a level's
+    records, and a level fails on ``unhandled`` or ``violations``."""
+
+    name: str
+    schedule: Callable[..., Record]
+    summarize: Callable[[List[Record]], Record]
+    violations: str
+    statement: str
+
+    def run(
+        self,
+        server: str,
+        levels: Optional[Iterable[ProtectionLevel]],
+        seed: int,
+        schedules: int,
+        knobs: Dict[str, object],
+        workers: int = 1,
+        progress: Optional[ProgressFn] = None,
+    ) -> Dict[str, object]:
+        """Run ``schedules`` schedules at every level (default:
+        INTEGRATED); return the deterministic report (a JSON-ready
+        dict, no wall clock).  Records merge by index, so the report is
+        byte-identical for any ``workers`` value.  A schedule that
+        raises fails the whole campaign."""
+        if schedules <= 0:
+            raise ValueError("schedules must be positive")
+        level_list = (
+            list(levels) if levels is not None else [ProtectionLevel.INTEGRATED]
+        )
+        jobs = [(level, index) for level in level_list for index in range(schedules)]
+        runner = functools.partial(
+            _run_job, self.schedule, dict(knobs, server=server, base_seed=seed)
+        )
+        records, failures = run_specs(
+            jobs, workers=workers, progress=progress, runner=runner
+        )
+        if failures:
+            level, index = failures[0].spec
+            raise RuntimeError(
+                f"{self.name} schedule {index} at {level.value} failed: "
+                f"{failures[0].error}"
+            )
+        report: Dict[str, object] = {
+            "campaign": self.name,
+            "server": server,
+            "seed": seed,
+            "schedules": schedules,
+            **knobs,
+            "fault_sites": list(FAULT_SITES),
+            "levels": {},
+        }
+        for offset, level in zip(range(0, len(jobs), schedules), level_list):
+            level_records = records[offset : offset + schedules]
+            report["levels"][level.value] = {
+                "summary": self.summarize(level_records),
+                "schedules": level_records,
+            }
+        integrated = report["levels"].get(ProtectionLevel.INTEGRATED.value)
+        if integrated is not None:
+            summary = integrated["summary"]
+            report["invariant"] = {
+                "level": ProtectionLevel.INTEGRATED.value,
+                "holds": (
+                    summary["leak_schedules"] == 0
+                    and summary["unhandled"] == 0
+                    and summary[self.violations] == 0
+                ),
+                "statement": self.statement,
+            }
+        return report
+
+    def ok(self, report: Dict[str, object]) -> bool:
+        """Exit-status predicate: no unhandled exceptions and no
+        ``violations`` at any level, and the INTEGRATED invariant (when
+        that level ran) holds."""
+        for level_data in report["levels"].values():  # type: ignore[union-attr]
+            summary = level_data["summary"]
+            if summary["unhandled"] or summary[self.violations]:
+                return False
+        invariant = report.get("invariant")
+        return invariant is None or bool(invariant["holds"])
 
 
 def run_schedule(
@@ -71,7 +165,7 @@ def run_schedule(
     key_bits: int = 256,
 ) -> Dict[str, object]:
     """Run one fault schedule; return its JSON-ready record."""
-    seed = derive_schedule_seed(base_seed, server, level.value, index)
+    seed = hash_seed("repro-chaos-v1", base_seed, server, level.value, index)
     plan_rng = DeterministicRandom(seed).fork_stream("fault-plan")
     plan = FaultPlan.random(plan_rng, num_faults=faults_per_schedule)
 
@@ -161,6 +255,36 @@ def run_schedule(
     }
 
 
+def _summarize(records: List[Record]) -> Record:
+    return {
+        "schedules": len(records),
+        "faults_fired": sum(len(r["fired"]) for r in records),
+        "connections_ok": sum(r["connections_ok"] for r in records),
+        "rejected": sum(r["rejected"] for r in records),
+        "unhandled": sum(len(r["unhandled"]) for r in records),
+        "leak_schedules": sum(0 if r["clean"] else 1 for r in records),
+        "oracle_inconsistencies": sum(
+            0 if r["oracle_consistent"] else 1 for r in records
+        ),
+        "leaks": {
+            key: sum(r["leaks"][key] for r in records) for key in LEAK_KEYS
+        },
+    }
+
+
+CHAOS = Campaign(
+    name="chaos-v1",
+    schedule=run_schedule,
+    summarize=_summarize,
+    violations="oracle_inconsistencies",
+    statement=(
+        "no fault schedule leaves tainted key bytes in freed "
+        "frames, swap slots, or the page cache, and no simulator "
+        "exception escapes the degradation paths"
+    ),
+)
+
+
 def run_campaign(
     server: str = "openssh",
     levels: Optional[Iterable[ProtectionLevel]] = None,
@@ -171,90 +295,19 @@ def run_campaign(
     pressure_pages: int = 8,
     memory_mb: int = 8,
     key_bits: int = 256,
-    progress: Optional[CampaignProgressFn] = None,
+    progress: Optional[ProgressFn] = None,
 ) -> Dict[str, object]:
-    """Run ``schedules`` fault schedules at every level; return the
-    deterministic campaign report (a JSON-ready dict, no wall clock)."""
-    if schedules <= 0:
-        raise ValueError("schedules must be positive")
-    level_list = (
-        list(levels) if levels is not None else [ProtectionLevel.INTEGRATED]
+    """Run ``schedules`` fault schedules at every level, serially;
+    return the deterministic campaign report."""
+    knobs = dict(
+        faults_per_schedule=faults_per_schedule,
+        connections=connections,
+        pressure_pages=pressure_pages,
+        memory_mb=memory_mb,
+        key_bits=key_bits,
     )
-    report: Dict[str, object] = {
-        "campaign": "chaos-v1",
-        "server": server,
-        "seed": seed,
-        "schedules": schedules,
-        "faults_per_schedule": faults_per_schedule,
-        "connections": connections,
-        "pressure_pages": pressure_pages,
-        "memory_mb": memory_mb,
-        "key_bits": key_bits,
-        "fault_sites": list(FAULT_SITES),
-        "levels": {},
-    }
-    for level in level_list:
-        records = []
-        for index in range(schedules):
-            records.append(
-                run_schedule(
-                    server, level, seed, index,
-                    faults_per_schedule=faults_per_schedule,
-                    connections=connections,
-                    pressure_pages=pressure_pages,
-                    memory_mb=memory_mb,
-                    key_bits=key_bits,
-                )
-            )
-            if progress is not None:
-                progress(level.value, index + 1, schedules)
-        summary = {
-            "schedules": len(records),
-            "faults_fired": sum(len(r["fired"]) for r in records),
-            "connections_ok": sum(r["connections_ok"] for r in records),
-            "rejected": sum(r["rejected"] for r in records),
-            "unhandled": sum(len(r["unhandled"]) for r in records),
-            "leak_schedules": sum(0 if r["clean"] else 1 for r in records),
-            "oracle_inconsistencies": sum(
-                0 if r["oracle_consistent"] else 1 for r in records
-            ),
-            "leaks": {
-                key: sum(r["leaks"][key] for r in records)
-                for key in LEAK_KEYS
-            },
-        }
-        report["levels"][level.value] = {
-            "summary": summary,
-            "schedules": records,
-        }
-    integrated = report["levels"].get(ProtectionLevel.INTEGRATED.value)
-    if integrated is not None:
-        summary = integrated["summary"]
-        report["invariant"] = {
-            "level": ProtectionLevel.INTEGRATED.value,
-            "holds": (
-                summary["leak_schedules"] == 0
-                and summary["unhandled"] == 0
-                and summary["oracle_inconsistencies"] == 0
-            ),
-            "statement": (
-                "no fault schedule leaves tainted key bytes in freed "
-                "frames, swap slots, or the page cache, and no simulator "
-                "exception escapes the degradation paths"
-            ),
-        }
-    return report
+    return CHAOS.run(server, levels, seed, schedules, knobs, progress=progress)
 
 
-def campaign_ok(report: Dict[str, object]) -> bool:
-    """Exit-status predicate: no unhandled exceptions anywhere, no
-    oracle inconsistencies, and the INTEGRATED invariant (when that
-    level was part of the campaign) holds."""
-    for level_data in report["levels"].values():  # type: ignore[union-attr]
-        summary = level_data["summary"]
-        if summary["unhandled"] or summary["oracle_inconsistencies"]:
-            return False
-    invariant = report.get("invariant")
-    if invariant is not None and not invariant["holds"]:
-        return False
-    return True
+#: Exit-status predicate of a chaos report (:meth:`Campaign.ok`).
+campaign_ok = CHAOS.ok

@@ -33,26 +33,24 @@ the very same schedules leak the corpse's key through freed frames and
 the page cache (the campaign's teeth).  Everything derives from the
 soak seed (SHA-256 per schedule); reports carry only virtual-clock
 times, so a report is byte-identical for a fixed seed at any worker
-count.
+count.  The level loop, report envelope and worker pool are the ones
+chaos uses (:class:`~repro.faults.campaign.Campaign`).
 """
 
 from __future__ import annotations
 
-import hashlib
-from concurrent.futures import ProcessPoolExecutor
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional
 
+from repro.analysis.parallel import ProgressFn
 from repro.core.protection import ProtectionLevel
 from repro.core.simulation import Simulation, SimulationConfig
-from repro.crypto.randsrc import DeterministicRandom
+from repro.crypto.randsrc import DeterministicRandom, hash_seed
 from repro.errors import AllocatorStateError, ConnectionRejectedError, ReproError, SwapError
+from repro.faults.campaign import Campaign, Record
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FAULT_SITES, SITE_HORIZONS, FaultPlan
 from repro.faults.supervisor import Supervisor
 from repro.sanitizer.shadow import MAX_TAG_ID
-
-#: Progress callback: (level, schedules done at this level, total).
-SoakProgressFn = Callable[[str, int, int], None]
 
 #: Half-open probes per generation before a degraded machine gives up
 #: on that generation (it tries again next generation).
@@ -70,11 +68,15 @@ FRAME_LEAK_SLACK = 64
 _TAGS_PER_KEY = 7
 
 
-def derive_soak_seed(base_seed: int, server: str, level: str, index: int) -> int:
-    """Collision-free 64-bit seed for one soak schedule."""
-    blob = f"repro-soak-v1|{base_seed}|{server}|{level}|{index}"
-    digest = hashlib.sha256(blob.encode("ascii")).digest()
-    return int.from_bytes(digest[:8], "big")
+def check_generations(generations: int) -> None:
+    """Reject a generation count one machine's KeySan cannot tag."""
+    if generations <= 0:
+        raise ValueError("generations must be positive")
+    if (generations + 1) * _TAGS_PER_KEY > MAX_TAG_ID:
+        raise ValueError(
+            f"{generations} generations need more than {MAX_TAG_ID} "
+            f"KeySan tags; reduce generations"
+        )
 
 
 def compose_storm(
@@ -113,14 +115,8 @@ def run_soak_schedule(
     key_bits: int = 256,
 ) -> Dict[str, object]:
     """Run one soak schedule; return its JSON-ready record."""
-    if generations <= 0:
-        raise ValueError("generations must be positive")
-    if (generations + 1) * _TAGS_PER_KEY > MAX_TAG_ID:
-        raise ValueError(
-            f"{generations} generations need more than {MAX_TAG_ID} "
-            f"KeySan tags; reduce generations"
-        )
-    seed = derive_soak_seed(base_seed, server, level.value, index)
+    check_generations(generations)
+    seed = hash_seed("repro-soak-v1", base_seed, server, level.value, index)
     storm = compose_storm(
         DeterministicRandom(seed).fork_stream("soak-plan"),
         generations,
@@ -334,10 +330,54 @@ def run_soak_schedule(
     }
 
 
-def _soak_schedule_worker(args: tuple) -> tuple:
-    """Process-pool entry point (module-level for pickling)."""
-    index, params = args
-    return index, run_soak_schedule(index=index, **params)
+def _summarize(records: List[Record]) -> Record:
+    generations = [g for r in records for g in r["generations"]]
+    audited = [g["leaks"] for g in generations if "leaks" in g]
+    latencies = [r["restart_latency_us"] for r in records]
+    return {
+        "schedules": len(records),
+        "generations": len(generations),
+        "faults_fired": sum(len(r["fired"]) for r in records),
+        "connections_ok": sum(g.get("connections_ok", 0) for g in generations),
+        "rejected": sum(g.get("rejected", 0) for g in generations),
+        "refused_connections": sum(r["refused_connections"] for r in records),
+        "restarts": sum(r["restarts"] for r in records),
+        "degraded_generations": sum(
+            r["degraded_generations"] for r in records
+        ),
+        "unhandled": sum(len(r["unhandled"]) for r in records),
+        "invariant_violations": sum(
+            len(r["invariant_violations"]) for r in records
+        ),
+        "leak_schedules": sum(0 if r["clean"] else 1 for r in records),
+        "cross_incarnation_taint_bytes": sum(
+            leaks["cross_incarnation_taint_bytes"] for leaks in audited
+        ),
+        "audit_leaks": sum(
+            leaks["audit_ram_hits"] + leaks["audit_swap_hits"]
+            + leaks["audit_freed_frame_hits"]
+            for leaks in audited
+        ),
+        "restart_latency_us": {
+            "count": sum(l["count"] for l in latencies),
+            "total": round(sum(l["total"] for l in latencies), 3),
+            "max": round(max((l["max"] for l in latencies), default=0.0), 3),
+        },
+    }
+
+
+SOAK = Campaign(
+    name="soak-v1",
+    schedule=run_soak_schedule,
+    summarize=_summarize,
+    violations="invariant_violations",
+    statement=(
+        "across every crash/restart generation of every fault "
+        "storm, no byte of any dead incarnation's key survives "
+        "anywhere (RAM, freed frames, swap, page cache), and "
+        "the allocator/swap steady-state invariants hold"
+    ),
+)
 
 
 def run_soak(
@@ -352,153 +392,27 @@ def run_soak(
     memory_mb: int = 8,
     key_bits: int = 256,
     workers: int = 1,
-    progress: Optional[SoakProgressFn] = None,
+    progress: Optional[ProgressFn] = None,
 ) -> Dict[str, object]:
-    """Run ``schedules`` soak schedules at every level; return the
-    deterministic campaign report (JSON-ready, no wall clock).
-
-    Each schedule's seed depends only on (campaign seed, server,
-    level, index), and results are merged by index — so the report is
-    byte-identical for any ``workers`` value.
+    """Run ``schedules`` soak schedules at every level over ``workers``
+    processes; return the deterministic campaign report.  Each
+    schedule's seed depends only on (campaign seed, server, level,
+    index), so the report is byte-identical for any ``workers`` value.
     """
-    if schedules <= 0:
-        raise ValueError("schedules must be positive")
-    level_list = (
-        list(levels) if levels is not None else [ProtectionLevel.INTEGRATED]
+    check_generations(generations)
+    knobs = dict(
+        generations=generations,
+        faults_per_generation=faults_per_generation,
+        connections=connections,
+        pressure_pages=pressure_pages,
+        memory_mb=memory_mb,
+        key_bits=key_bits,
     )
-    params = {
-        "server": server,
-        "base_seed": seed,
-        "generations": generations,
-        "faults_per_generation": faults_per_generation,
-        "connections": connections,
-        "pressure_pages": pressure_pages,
-        "memory_mb": memory_mb,
-        "key_bits": key_bits,
-    }
-    report: Dict[str, object] = {
-        "campaign": "soak-v1",
-        "server": server,
-        "seed": seed,
-        "schedules": schedules,
-        "generations": generations,
-        "faults_per_generation": faults_per_generation,
-        "connections": connections,
-        "pressure_pages": pressure_pages,
-        "memory_mb": memory_mb,
-        "key_bits": key_bits,
-        "fault_sites": list(FAULT_SITES),
-        "levels": {},
-    }
-    for level in level_list:
-        records: List[Optional[Dict[str, object]]] = [None] * schedules
-        level_params = dict(params, level=level)
-        if workers <= 1:
-            for schedule_index in range(schedules):
-                records[schedule_index] = run_soak_schedule(
-                    index=schedule_index, **level_params
-                )
-                if progress is not None:
-                    progress(level.value, schedule_index + 1, schedules)
-        else:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [
-                    pool.submit(
-                        _soak_schedule_worker, (schedule_index, level_params)
-                    )
-                    for schedule_index in range(schedules)
-                ]
-                for done, future in enumerate(futures, start=1):
-                    schedule_index, record = future.result()
-                    records[schedule_index] = record
-                    if progress is not None:
-                        progress(level.value, done, schedules)
-        assert all(record is not None for record in records)
-        gen_counts = [len(r["generations"]) for r in records]
-        latencies = [r["restart_latency_us"] for r in records]
-        summary = {
-            "schedules": len(records),
-            "generations": sum(gen_counts),
-            "faults_fired": sum(len(r["fired"]) for r in records),
-            "connections_ok": sum(
-                g["connections_ok"]
-                for r in records
-                for g in r["generations"]
-                if "connections_ok" in g
-            ),
-            "rejected": sum(
-                g["rejected"]
-                for r in records
-                for g in r["generations"]
-                if "rejected" in g
-            ),
-            "refused_connections": sum(
-                r["refused_connections"] for r in records
-            ),
-            "restarts": sum(r["restarts"] for r in records),
-            "degraded_generations": sum(
-                r["degraded_generations"] for r in records
-            ),
-            "unhandled": sum(len(r["unhandled"]) for r in records),
-            "invariant_violations": sum(
-                len(r["invariant_violations"]) for r in records
-            ),
-            "leak_schedules": sum(0 if r["clean"] else 1 for r in records),
-            "cross_incarnation_taint_bytes": sum(
-                g["leaks"]["cross_incarnation_taint_bytes"]
-                for r in records
-                for g in r["generations"]
-                if "leaks" in g
-            ),
-            "audit_leaks": sum(
-                g["leaks"]["audit_ram_hits"]
-                + g["leaks"]["audit_swap_hits"]
-                + g["leaks"]["audit_freed_frame_hits"]
-                for r in records
-                for g in r["generations"]
-                if "leaks" in g
-            ),
-            "restart_latency_us": {
-                "count": sum(l["count"] for l in latencies),
-                "total": round(sum(l["total"] for l in latencies), 3),
-                "max": round(
-                    max((l["max"] for l in latencies), default=0.0), 3
-                ),
-            },
-        }
-        report["levels"][level.value] = {
-            "summary": summary,
-            "schedules": records,
-        }
-    integrated = report["levels"].get(ProtectionLevel.INTEGRATED.value)
-    if integrated is not None:
-        summary = integrated["summary"]
-        report["invariant"] = {
-            "level": ProtectionLevel.INTEGRATED.value,
-            "holds": (
-                summary["leak_schedules"] == 0
-                and summary["unhandled"] == 0
-                and summary["invariant_violations"] == 0
-            ),
-            "statement": (
-                "across every crash/restart generation of every fault "
-                "storm, no byte of any dead incarnation's key survives "
-                "anywhere (RAM, freed frames, swap, page cache), and "
-                "the allocator/swap steady-state invariants hold"
-            ),
-        }
-    return report
+    return SOAK.run(
+        server, levels, seed, schedules, knobs,
+        workers=workers, progress=progress,
+    )
 
 
-def soak_ok(report: Dict[str, object]) -> bool:
-    """Exit-status predicate: no unhandled exceptions, no steady-state
-    invariant violations at any level, and the INTEGRATED
-    cross-incarnation invariant (when that level ran) holds."""
-    for level_data in report["levels"].values():  # type: ignore[union-attr]
-        summary = level_data["summary"]
-        if summary["unhandled"] or summary["invariant_violations"]:
-            return False
-    invariant = report.get("invariant")
-    if invariant is not None and not invariant["holds"]:
-        return False
-    return True
+#: Exit-status predicate of a soak report (:meth:`Campaign.ok`).
+soak_ok = SOAK.ok

@@ -42,14 +42,11 @@ DIR_HEADER_SIZE = 24
 #: Kernel version in which the ext2 leak was fixed.
 EXT2_LEAK_FIXED_IN = (2, 6, 12)
 
-_file_ids = itertools.count(1)
-
-
 class SimFile:
     """One regular file: a path plus its on-disk bytes."""
 
-    def __init__(self, path: str, data: bytes) -> None:
-        self.file_id = next(_file_ids)
+    def __init__(self, path: str, data: bytes, file_id: int) -> None:
+        self.file_id = file_id
         self.path = path
         self.data = bytearray(data)
 
@@ -90,6 +87,9 @@ class SimFileSystem:
         #: free frames instead of recycling one hot frame forever.
         self.buffer_cache_cap = 512
         self._buffer_frames: deque = deque()
+        #: Where file ids come from: this filesystem's own counter until
+        #: it is mounted, then the mounting kernel's (:meth:`number_files`).
+        self._file_ids = itertools.count(1)
 
     # ------------------------------------------------------------------
     # path helpers
@@ -116,9 +116,20 @@ class SimFileSystem:
         self._require_parent_dir(rel)
         if self._blocks_used() >= self.capacity_blocks:
             raise NoSpaceError(f"filesystem {self.label!r} is full")
-        file = SimFile(rel, data)
+        file = SimFile(rel, data, next(self._file_ids))
         self.files[rel] = file
         return file
+
+    def number_files(self, ids: "itertools.count[int]") -> None:
+        """Take file ids from ``ids``, a kernel's counter, renumbering
+        the files created before the mount in creation order.  Ids stay
+        unique across every filesystem one kernel mounts, and the same
+        machine numbers its files the same way in any process."""
+        if ids is self._file_ids:
+            return
+        self._file_ids = ids
+        for file in self.files.values():
+            file.file_id = next(ids)
 
     def lookup(self, path: str) -> SimFile:
         rel = self._normalize(path)

@@ -52,7 +52,7 @@ class ProcFs(SimFileSystem):
         if generator is None:
             raise FileNotFoundError_(f"no proc entry {path!r}")
         # Fresh content per lookup: reading the entry *is* the action.
-        return ProcFile(rel, generator())
+        return ProcFile(rel, generator(), next(self._file_ids))
 
     def exists(self, path: str) -> bool:
         return self._normalize(path) in self._entries

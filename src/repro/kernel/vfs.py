@@ -12,6 +12,7 @@ stock kernels.
 
 from __future__ import annotations
 
+import itertools
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.errors import (
@@ -54,6 +55,9 @@ class Vfs:
     def __init__(self, kernel: "Kernel") -> None:
         self.kernel = kernel
         self._mounts: Dict[str, SimFileSystem] = {}
+        #: File ids of every filesystem this kernel mounts; the page
+        #: cache keys by them, so they are unique per kernel.
+        self._file_ids = itertools.count(1)
 
     # ------------------------------------------------------------------
     # mounts
@@ -63,6 +67,7 @@ class Vfs:
         if point in self._mounts:
             raise FileNotFoundError_(f"{point!r} already mounted")
         self._mounts[point] = fs
+        fs.number_files(self._file_ids)
         if fs.preload_cache:
             # Reiser-like eager caching: file data is resident in the
             # page cache from mount time (paper §3.2 observation (1)).

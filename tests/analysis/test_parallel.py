@@ -80,6 +80,7 @@ class TestSeedDerivation:
         assert derive_seed(spec) < 2 ** 64
 
 
+@pytest.mark.usefixtures("pool_cores")
 class TestParallelSerialIdentity:
     def test_ntty_sweep_identical_at_any_worker_count(self):
         kwargs = dict(
@@ -132,10 +133,10 @@ class TestFailureContainment:
         assert failures[0].spec.server == "nosuchserver"
         assert "WorkloadError" in failures[0].error
 
-    def test_pool_records_failure_and_continues(self):
+    def test_pool_records_failure_and_continues(self, pool_cores):
         outcomes, failures = run_specs(
             [self._good_spec(), self._bad_spec(), self._good_spec()],
-            workers=2, chunksize=1,
+            workers=2,
         )
         assert outcomes[0] is not None and outcomes[2] is not None
         assert outcomes[1] is None
@@ -208,7 +209,7 @@ class TestAttackerAxis:
         assert cell.samples == 2
         assert 0.0 <= cell.success_rate <= 1.0
 
-    def test_predict_sweep_identical_at_any_worker_count(self):
+    def test_predict_sweep_identical_at_any_worker_count(self, pool_cores):
         kwargs = dict(
             connections=[0, 10], repetitions=2, seed=7,
             memory_mb=8, key_bits=256, attacker="predict",
@@ -287,12 +288,12 @@ class TestRetries:
         assert failures == []
         assert outcomes == baseline
 
-    def test_retry_through_pool(self, tmp_path):
+    def test_retry_through_pool(self, tmp_path, pool_cores):
         specs = self._specs()
         baseline, _ = run_specs(specs, workers=1)
         runner = self._flaky_runner(tmp_path, specs, (1,))
         outcomes, failures = run_specs(
-            specs, workers=2, chunksize=1, retries=1, runner=runner
+            specs, workers=2, retries=1, runner=runner
         )
         assert failures == []
         assert outcomes == baseline
@@ -329,3 +330,68 @@ class TestRetries:
         )
         assert clean.cells == retried.cells
         assert not retried.failures
+
+
+def _square(job):
+    if job < 0:
+        raise ValueError(f"negative job {job}")
+    return job * job
+
+
+class TestCoreCap:
+    """Workers are capped at the usable cores; one core starts no pool."""
+
+    def test_one_core_runs_serially_and_starts_no_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-core host started a pool")
+
+        monkeypatch.setattr(parallel, "available_cores", lambda: 1)
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", no_pool)
+        specs = ntty_sweep_specs(
+            "openssh", connections=(0,), repetitions=2,
+            level=ProtectionLevel.NONE, seed=4, memory_mb=8, key_bits=256,
+        )
+        outcomes, failures = run_specs(specs, workers=4)
+        assert failures == [] and None not in outcomes
+
+    def test_pool_size_is_capped_at_the_cores(self, monkeypatch):
+        sizes = []
+
+        class Recorder(parallel.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(parallel, "available_cores", lambda: 2)
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", Recorder)
+        outcomes, failures = run_specs([1, 2, 3], workers=8, runner=_square)
+        assert sizes == [2]
+        assert outcomes == [1, 4, 9] and failures == []
+
+    def test_serial_runs_one_spec_per_step(self):
+        ticks = []
+        outcomes, failures = run_specs(
+            list(range(8)), runner=_square,
+            progress=lambda done, total, *_: ticks.append((done, total)),
+        )
+        assert outcomes == [n * n for n in range(8)] and failures == []
+        assert ticks == [(n, 8) for n in range(1, 9)]
+
+    def test_serial_deadline_records_timeouts(self):
+        outcomes, failures = run_specs([1, 2], runner=_square, timeout_s=0.0)
+        assert outcomes == [None, None]
+        assert [f.error for f in failures] == ["timeout", "timeout"]
+
+    def test_available_cores_is_positive(self):
+        assert parallel.available_cores() >= 1
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_any_picklable_job_runs(workers, pool_cores):
+    """Jobs need not be RunSpecs, nor results RunOutcomes: a result is
+    kept because the runner returned it, an error because it raised."""
+    outcomes, failures = run_specs([3, -1, 4], workers=workers, runner=_square)
+    assert outcomes == [9, None, 16]
+    assert [(f.spec, f.error) for f in failures] == [
+        (-1, "ValueError: negative job -1")
+    ]

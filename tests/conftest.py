@@ -23,6 +23,15 @@ def pytest_addoption(parser):
 
 
 @pytest.fixture
+def pool_cores(monkeypatch):
+    """Report four usable cores, so ``run_specs`` starts its pool at
+    ``workers > 1`` even on a one-core host."""
+    from repro.analysis import parallel
+
+    monkeypatch.setattr(parallel, "available_cores", lambda: 4)
+
+
+@pytest.fixture
 def kernel():
     """A small vulnerable machine (2.6.10, 8 MB)."""
     return Kernel(KernelConfig.vulnerable(memory_mb=8))

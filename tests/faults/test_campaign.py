@@ -6,13 +6,17 @@ import json
 import pytest
 
 from repro.core.protection import ProtectionLevel
+from repro.crypto.randsrc import hash_seed
 from repro.faults.campaign import (
     LEAK_KEYS,
     campaign_ok,
-    derive_schedule_seed,
     run_campaign,
     run_schedule,
 )
+
+
+def derive_schedule_seed(base_seed, server, level, index):
+    return hash_seed("repro-chaos-v1", base_seed, server, level, index)
 
 
 class TestSeedDerivation:
@@ -42,6 +46,7 @@ class TestSchedule:
             "leaks", "clean", "oracle_consistent",
         }
         assert set(record["leaks"]) == set(LEAK_KEYS)
+        assert record["seed"] == derive_schedule_seed(1, "openssh", "integrated", 0)
         json.dumps(record)  # JSON-ready, no wall clock, no objects
 
 

@@ -5,22 +5,34 @@ Small schedule/generation counts keep this tier-1 fast; the CI
 campaigns.
 """
 
+import dataclasses
 import json
 
 import pytest
 
 from repro.core.protection import ProtectionLevel
-from repro.crypto.randsrc import DeterministicRandom
+from repro.errors import SwapError
+from repro.crypto.randsrc import DeterministicRandom, hash_seed
+from repro.faults import soak
 from repro.faults.plan import FAULT_SITES, SITE_HORIZONS, FaultPlan
 from repro.faults.soak import (
     compose_storm,
-    derive_soak_seed,
     run_soak,
     run_soak_schedule,
     soak_ok,
 )
 
 LEVELS_BOTH = [ProtectionLevel.NONE, ProtectionLevel.INTEGRATED]
+
+
+def derive_soak_seed(base_seed, server, level, index):
+    return hash_seed("repro-soak-v1", base_seed, server, level, index)
+
+
+def _crash_second(index, **kwargs):
+    if index == 1:
+        raise SwapError("torn slot")
+    return run_soak_schedule(index=index, **kwargs)
 
 
 def small_soak(**kwargs):
@@ -120,7 +132,7 @@ class TestTeeth:
 
 
 class TestDeterminism:
-    def test_report_is_byte_identical_across_worker_counts(self):
+    def test_report_is_byte_identical_across_worker_counts(self, pool_cores):
         a = small_soak(seed=9, workers=1)
         b = small_soak(seed=9, workers=3)
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
@@ -138,6 +150,9 @@ class TestDeterminism:
             connections=2,
         )
         in_order = [run_soak_schedule(index=i, **params) for i in range(3)]
+        assert [r["seed"] for r in in_order] == [
+            derive_soak_seed(9, "openssh", "integrated", i) for i in range(3)
+        ]
         shuffled = {i: run_soak_schedule(index=i, **params) for i in (2, 0, 1)}
         reassembled = [shuffled[i] for i in range(3)]
         assert json.dumps(in_order, sort_keys=True) == json.dumps(
@@ -154,6 +169,18 @@ class TestDeterminism:
     def test_validation(self):
         with pytest.raises(ValueError):
             run_soak(schedules=0)
+        with pytest.raises(ValueError, match="KeySan tags"):
+            run_soak(generations=40)
+
+    def test_a_failing_schedule_fails_the_soak(self, monkeypatch):
+        monkeypatch.setattr(
+            soak, "SOAK", dataclasses.replace(soak.SOAK, schedule=_crash_second)
+        )
+        with pytest.raises(RuntimeError) as excinfo:
+            small_soak(seed=3, levels=[ProtectionLevel.NONE])
+        assert str(excinfo.value) == (
+            "soak-v1 schedule 1 at none failed: SwapError: torn slot"
+        )
 
 
 class TestApacheSoak:

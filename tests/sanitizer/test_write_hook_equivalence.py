@@ -14,7 +14,6 @@ the exposure clock; whole machines driven through sessions at every
 """
 
 import dataclasses
-import itertools
 from types import SimpleNamespace
 from typing import List, Optional, Set
 
@@ -24,7 +23,6 @@ from hypothesis import strategies as st
 
 from repro.core.protection import ProtectionLevel
 from repro.core.simulation import Simulation, SimulationConfig
-from repro.kernel import fs
 from repro.sanitizer.keysan import TAINT_WINDOW, KeySan
 
 PAGE_SIZE = 4096
@@ -295,15 +293,11 @@ def test_register_between_writes_taints_only_afterwards():
 # whole machines
 # ----------------------------------------------------------------------
 def _drive(level: ProtectionLevel) -> Simulation:
-    # File ids come from a process-wide counter and appear in the
-    # page-cache diagnostics; both machines start it from 1.
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(fs, "_file_ids", itertools.count(1))
-        sim = Simulation(SimulationConfig(
-            level=level, memory_mb=8, key_bits=256, seed=11, taint=True,
-        ))
-        sim.start_server()
-        sim.cycle_connections(4)
+    sim = Simulation(SimulationConfig(
+        level=level, memory_mb=8, key_bits=256, seed=11, taint=True,
+    ))
+    sim.start_server()
+    sim.cycle_connections(4)
     return sim
 
 

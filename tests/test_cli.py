@@ -1,5 +1,7 @@
 """CLI tests."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -117,3 +119,39 @@ class TestCommands:
         (tmp_path / "broken.py").write_text("def f(:\n", encoding="utf-8")
         assert main(["lint", str(tmp_path)]) == 2
         assert "broken.py:1: SyntaxError:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["soak", "--schedules", "0"], "schedules must be positive"),
+        (["soak", "--generations", "40"], "KeySan tags"),
+        (["chaos", "--schedules", "0"], "schedules must be positive"),
+        (["sweep", "--retries", "-1", "--out", "-"],
+         "--retries must be non-negative"),
+    ], ids=["soak-schedules", "soak-generations", "chaos-schedules",
+            "sweep-retries"])
+    def test_bad_counts_are_bad_input(self, argv, message, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and message in lines[0]
+
+    def test_campaign_report_defaults_under_benchmarks_results(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert main(["chaos", "--schedules", "1"]) == 0
+        path = tmp_path / "benchmarks" / "results" / "chaos_openssh_integrated.json"
+        assert json.loads(path.read_text())["campaign"] == "chaos-v1"
+        assert "integrated invariant HOLDS" in capsys.readouterr().out
+
+
+def test_taint_twice_in_one_process_prints_the_same_bytes(capsys):
+    """File ids are numbered per kernel, so a second machine in the
+    same process names the PEM's page-cache page as the first did."""
+    argv = ["taint", "--server", "apache", "--seed", "3", "--memory-mb", "16"]
+    outputs = []
+    for _ in range(2):
+        assert main(argv) == 0
+        outputs.append(capsys.readouterr().out)
+    assert "file page (1, 0)" in outputs[0]
+    assert outputs[0] == outputs[1]

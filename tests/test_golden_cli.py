@@ -3,9 +3,8 @@ chaos, soak, sweep, scan and timeline.
 
 Each case runs one ``repro`` command in a fresh interpreter at a
 small, fixed scale and compares its stdout byte for byte with
-``tests/golden/<name>``.  A fresh process matters: file ids come from
-a process-wide counter and appear in the taint report, so an
-in-process run would depend on what ran before it.  The sweep reports
+``tests/golden/<name>``, exactly as a user runs it: exit status,
+stdout and the interpreter's start-up all count.  The sweep reports
 carry a host wall-clock field, ``wall_clock_s``; that one line is
 dropped before comparing (and before writing).  Every other byte is
 deterministic, so any difference is a change in what the simulation

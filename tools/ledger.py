@@ -18,8 +18,10 @@ the trajectory tooling reads every ``BENCH_*.json``).  It holds a flat
   with KeySan's write hook, and cold per-run keygen (beside the warm
   corpus hit).
 * **Sweep speedup.**  The quick-scale OpenSSH n_tty sweep runs serially
-  and on a pool after the key corpus is prewarmed, so neither side
-  pays keygen in the timed region.  The cells must be byte-identical.
+  and at ``WORKERS`` workers after the key corpus is prewarmed, so
+  neither side pays keygen in the timed region.  The cells must be
+  byte-identical.  ``run_specs`` caps the workers at the usable cores,
+  so on one core both sides run serially and the speedup reads ~1.0.
 
 ``--check-regression`` holds every row to one budget against the
 committed ledger, read before this run overwrites it:
@@ -40,7 +42,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -56,6 +57,7 @@ from repro.analysis.experiments import (
 )
 from repro.analysis.lint import lint_paths
 from repro.analysis.parallel import (
+    available_cores,
     merge_ntty,
     ntty_sweep_specs,
     prewarm_corpus,
@@ -318,14 +320,6 @@ def check_regression(rows: list, baseline_payload: dict) -> list:
 # ----------------------------------------------------------------------
 # sweep speedup
 # ----------------------------------------------------------------------
-def available_cores() -> int:
-    """Cores this process may run on (its affinity mask, where the OS
-    has one): a pinned process cannot speed a pool up."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def sweep_speedup() -> dict:
     specs = ntty_sweep_specs(
         "openssh", QUICK_NTTY_CONNECTIONS, QUICK_REPETITIONS,

@@ -138,7 +138,7 @@ def prewarm_corpus(specs: Sequence[RunSpec]) -> int:
     more than once in-process (regression benches, repeated CLI runs)
     or when timing serial against parallel: worker processes fork from
     this process and inherit the warm corpus, so neither side of the
-    comparison pays Miller–Rabin keygen inside the timed region.
+    comparison pays keygen inside the timed region.
     Returns the number of keys actually generated.
     """
     from repro.crypto.keycorpus import prewarm

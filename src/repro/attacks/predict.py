@@ -253,7 +253,13 @@ class StructuralPredictor:
                     key = self._verify(key)
                     if key is not None:
                         hits.append(StructuralHit("der-walk", base + pos, total))
-                        recovered = recovered or key
+                        # Only d is verified; a damaged blob can carry
+                        # wrong p, q or CRT fields, so rebuild from n.
+                        recovered = (
+                            recovered
+                            or self._key_from_factor(key.p)
+                            or self._key_from_d(key.d)
+                        )
                         pos += total - 1
                 pos = data.find(b"\x30", pos + 1, hi)
         return recovered

@@ -130,7 +130,7 @@ class Simulation:
         # generate_rsa_key(key_bits, self.keygen_rng) here (fork_stream
         # is stateless, so the corpus derives the very same stream),
         # but repeated (key_bits, seed) runs — every sweep repetition —
-        # skip the Miller–Rabin regrind.
+        # skip the keygen regrind.
         material = key_material(self.config.key_bits, self.config.seed)
         self.key: RsaKey = material.key
         self.pem: bytes = material.pem

@@ -1,7 +1,7 @@
 """From-scratch crypto substrate: RSA, DER/ASN.1, PEM, primality.
 
 The keys being hunted through simulated memory are *real* RSA keys —
-generated with Miller–Rabin primes, with the full CRT parameter set
+generated with BPSW-tested primes, with the full CRT parameter set
 (d, p, q, d mod (p-1), d mod (q-1), q^-1 mod p) and a byte-exact
 PKCS#1 DER / PEM encoding, because the paper's scanner searches for
 exact byte patterns of exactly these values.

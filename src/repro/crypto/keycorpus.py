@@ -1,10 +1,11 @@
 """Cached deterministic RSA key corpus for sweep workloads.
 
-Profiling a quick n_tty sweep showed ~34% of every run's wall clock
-going to Miller–Rabin key generation — and the sweep engine boots a
-*fresh* machine per :class:`~repro.analysis.parallel.RunSpec`, so the
-same ``(key_bits, seed)`` key was being reground on every repetition
-of every cell.
+A cold key is the largest single cost of booting a machine (the
+measured shares are in EXPERIMENTS.md, "Performance methodology") —
+and the sweep engine boots a *fresh* machine per
+:class:`~repro.analysis.parallel.RunSpec`, so without a cache the same
+``(key_bits, seed)`` key would be reground on every repetition of
+every cell.
 
 The corpus exploits a determinism guarantee the simulation already
 provides: :class:`~repro.crypto.randsrc.DeterministicRandom`'s

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Tuple
 
-from repro.errors import SyscallInterruptedError
+from repro.errors import SslError, SyscallInterruptedError
 from repro.kernel.syscalls import SyscallInterface
 from repro.kernel.vfs import O_NOCACHE, O_RDONLY
 
@@ -70,7 +70,7 @@ def bio_read_file(
         if keysan is not None:
             keysan.note_lifecycle("key-file", lf_key, "close")
     if not data:
-        raise ValueError(f"file {path!r} is empty")
+        raise SslError(f"file {path!r} is empty")
     addr = process.heap.malloc(len(data))
     process.mm.write(addr, data)
     return addr, len(data)

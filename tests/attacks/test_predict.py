@@ -60,6 +60,18 @@ class TestDerWalk:
         result = predictor().scan_segments([planted(MATERIAL.der[3:])])
         assert result.counts["der-walk"] == 0
 
+    @pytest.mark.parametrize("part", ["p", "q", "dmp1", "dmq1", "iqmp"])
+    def test_damaged_crt_field_yields_the_true_key(self, part):
+        """Only d is verified against the public key, so a blob whose
+        other fields are damaged must not hand back its wrong parts."""
+        field = int_to_bytes(getattr(KEY, part))
+        at = MATERIAL.der.index(field) + len(field) // 2
+        damaged = bytearray(MATERIAL.der)
+        damaged[at] ^= 0x5A
+        result = predictor().scan_segments([planted(bytes(damaged))])
+        assert result.counts["der-walk"] == 1
+        assert result.recovered_key == KEY
+
 
 class TestPemDecode:
     def test_partial_pem_rebuilds_the_key(self):

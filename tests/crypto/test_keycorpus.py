@@ -1,6 +1,6 @@
 """The deterministic key corpus: identity with direct keygen, LRU bounds.
 
-The corpus exists so parallel sweep workers stop paying Miller–Rabin
+The corpus exists so parallel sweep workers stop paying keygen
 inside the timed region — but it is only sound because
 ``DeterministicRandom.fork_stream`` is a pure function of
 ``(initial_seed, label)``: a corpus hit must be *byte-identical* to

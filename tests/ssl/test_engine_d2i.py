@@ -5,7 +5,7 @@ import pytest
 from repro.crypto.asn1 import encode_rsa_private_key
 from repro.crypto.pem import pem_encode
 from repro.crypto.rsa import int_to_bytes
-from repro.errors import CryptoError, RsaStructError
+from repro.errors import CryptoError, RsaStructError, SslError
 from repro.kernel.fs import SimFileSystem
 from repro.kernel.kernel import Kernel, KernelConfig
 from repro.ssl.bn import bn_bin2bn
@@ -133,7 +133,7 @@ class TestBio:
     def test_empty_file_rejected(self, env):
         kern, proc = env
         kern.vfs.create_file("/empty.txt", b"")
-        with pytest.raises(ValueError):
+        with pytest.raises(SslError):
             bio_read_file(proc, "/empty.txt")
 
 

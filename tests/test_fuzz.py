@@ -1,18 +1,24 @@
 """Fuzz/property tests on parser and allocator robustness.
 
 Codecs must reject garbage with :class:`EncodingError` — never crash
-with anything else; the user heap must preserve chunk isolation under
-arbitrary malloc/free interleavings.
+with anything else; the parsers that read attacker-controlled or
+on-disk key bytes (the structural predictor, ``d2i_privatekey``) may
+raise only :class:`ReproError`; the user heap must preserve chunk
+isolation under arbitrary malloc/free interleavings.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.attacks.predict import StructuralPredictor
 from repro.crypto.asn1 import decode_integer, decode_rsa_private_key, decode_sequence
-from repro.crypto.pem import pem_decode
-from repro.errors import EncodingError
+from repro.crypto.keycorpus import key_material
+from repro.crypto.pem import pem_decode, pem_encode
+from repro.errors import EncodingError, ReproError
+from repro.kernel.fs import SimFileSystem
 from repro.kernel.kernel import Kernel, KernelConfig
+from repro.ssl.d2i import d2i_privatekey
 
 
 class TestDecoderFuzz:
@@ -57,6 +63,68 @@ class TestDecoderFuzz:
         try:
             pem_decode(text.encode("utf-8", errors="replace"))
         except EncodingError:
+            pass
+
+
+@st.composite
+def mutated_key(draw):
+    """A corpus key's DER or PEM with a few byte-level mutations:
+    bit flips, overwrites, inserts, deletions and truncation."""
+    material = key_material(256, draw(st.integers(0, 3)))
+    data = bytearray(draw(st.sampled_from([material.der, material.pem])))
+    edits = st.tuples(
+        st.sampled_from(["flip", "set", "insert", "delete", "truncate"]),
+        st.integers(0, 2**16),
+        st.integers(0, 255),
+    )
+    for op, pos, value in draw(st.lists(edits, min_size=1, max_size=8)):
+        at = pos % (len(data) + 1)
+        if op == "insert":
+            data[at:at] = bytes([value])
+        elif at == len(data):
+            continue
+        elif op == "flip":
+            data[at] ^= 1 << (value % 8)
+        elif op == "set":
+            data[at] = value
+        elif op == "delete":
+            del data[at : at + value % 16 + 1]
+        else:
+            del data[at:]
+    return material, bytes(data)
+
+
+def armored(blob):
+    """``blob`` as a PEM body (empty stays empty: nothing to armor)."""
+    return pem_encode(blob) if blob else blob
+
+
+class TestKeyParserFuzz:
+    @settings(max_examples=100, deadline=None)
+    @given(case=mutated_key())
+    def test_predictor_raises_only_repro_errors(self, case):
+        """Any key it rebuilds is the true key, whatever the damage."""
+        material, blob = case
+        predictor = StructuralPredictor(material.key.n, material.key.e)
+        try:
+            result = predictor.scan_segments([blob, armored(blob)])
+        except ReproError:
+            return
+        key = result.recovered_key
+        assert key is None or key == material.key
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=mutated_key(), armor=st.booleans())
+    def test_d2i_raises_only_repro_errors(self, case, armor):
+        _, blob = case
+        kern = Kernel(KernelConfig.vulnerable(memory_mb=4))
+        fs = SimFileSystem("ext2", label="root")
+        fs.dirs.add("etc")
+        fs.create_file("etc/key.pem", armored(blob) if armor else blob)
+        kern.vfs.mount("/", fs)
+        try:
+            d2i_privatekey(kern.create_process("server"), "/etc/key.pem")
+        except ReproError:
             pass
 
 

@@ -59,6 +59,11 @@ CASES = [
     ("sweep_ntty.json", 1,
      ["sweep", "--kind", "ntty", "--scale", "quick", "--key-bits", "512",
       "--memory-mb", "8", "--out", "-"]),
+    # Every session's private operation runs in the key vault.
+    ("sweep_ntty_hardware.json", 0,
+     ["sweep", "--kind", "ntty", "--server", "apache", "--level", "hardware",
+      "--scale", "quick", "--key-bits", "256", "--memory-mb", "8",
+      "--out", "-"]),
     # 143 copies, several patterns per frame.
     ("scan_openssh.txt", 0,
      ["scan", "--server", "openssh", "--seed", "3", "--limit", "400"]),

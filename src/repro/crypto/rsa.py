@@ -57,6 +57,34 @@ def bytes_to_int(data: bytes) -> int:
     return int.from_bytes(data, "big")
 
 
+def crt_known_answer(
+    n: int, e: int, p: int, q: int, dmp1: int, dmq1: int, iqmp: int,
+    x: int, known: Optional[int],
+) -> bool:
+    """True when the CRT private operation on ``x`` provably gives ``known``.
+
+    The guard is algebraic: ``p*q == n`` with both factors above 1,
+    ``dmp1`` and ``dmq1`` invert ``e`` modulo ``p-1`` and ``q-1``,
+    ``iqmp`` inverts ``q`` modulo ``p``, and ``known`` lies in
+    ``[0, n)`` and encrypts to ``x``.  For an RSA modulus, unique
+    factorisation and Fermat then make ``known`` exactly the CRT
+    result, and ``known % p`` exactly its first half ``m1``, so a
+    caller that holds the plaintext may skip the two exponentiations.
+    A damaged part or a wrong ``known`` fails the guard.
+    """
+    return (
+        known is not None
+        and 1 < p
+        and 1 < q
+        and p * q == n
+        and e * dmp1 % (p - 1) == 1
+        and e * dmq1 % (q - 1) == 1
+        and q * iqmp % p == 1
+        and 0 <= known < n
+        and pow(known, e, n) == x
+    )
+
+
 @dataclass(frozen=True)
 class RsaKey:
     """A full RSA key pair with CRT parameters."""
@@ -112,11 +140,22 @@ class RsaKey:
         self._check_range(x)
         return pow(x, self.e, self.n)
 
-    def private_op(self, x: int, use_crt: bool = True) -> int:
-        """x^d mod n, via CRT by default (as OpenSSL does)."""
+    def private_op(
+        self, x: int, use_crt: bool = True, known: Optional[int] = None
+    ) -> int:
+        """x^d mod n, via CRT by default (as OpenSSL does).
+
+        ``known`` is the caller's own plaintext, if it has one; the CRT
+        path returns it without exponentiating when
+        :func:`crt_known_answer` proves it is the result."""
         self._check_range(x)
         if not use_crt:
             return pow(x, self.d, self.n)
+        if crt_known_answer(
+            self.n, self.e, self.p, self.q, self.dmp1, self.dmq1, self.iqmp,
+            x, known,
+        ):
+            return known
         m1 = pow(x % self.p, self.dmp1, self.p)
         m2 = pow(x % self.q, self.dmq1, self.q)
         h = ((m1 - m2) * self.iqmp) % self.p

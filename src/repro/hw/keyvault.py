@@ -6,11 +6,18 @@ hardware is necessary"* — software can minimise the key to one
 physical copy but never to zero.  The vault is that endpoint: keys
 stored here have **no physical address**, so no memory-disclosure
 attack in this framework can reach them, by construction.
+
+A private operation charges :data:`VAULT_OP_US` of device time.  Its
+host-side arithmetic goes through :meth:`RsaKey.private_op`, which
+takes the same known-plaintext guard as the RAM engine
+(:func:`repro.crypto.rsa.crt_known_answer`): a caller's ``known``
+plaintext is returned only when the slot's own fields prove it, and a
+damaged slot or a wrong ``known`` takes the real CRT path.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict
+from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.crypto.rsa import RsaKey
 from repro.errors import RsaStructError
@@ -40,15 +47,18 @@ class KeyVault:
         self._slots[handle] = key
         return handle
 
-    def private_op(self, handle: int, x: int) -> int:
-        """Perform ``x^d mod n`` on-device."""
+    def private_op(
+        self, handle: int, x: int, known: Optional[int] = None
+    ) -> int:
+        """Perform ``x^d mod n`` on-device; ``known`` is the caller's
+        plaintext, if it has one."""
         try:
             key = self._slots[handle]
         except KeyError:
             raise RsaStructError(f"no key in vault slot {handle}") from None
         self.kernel.clock.advance(VAULT_OP_US, "vault_op")
         self.ops_performed += 1
-        return key.private_op(x)
+        return key.private_op(x, known=known)
 
     def destroy(self, handle: int) -> None:
         """Erase a vault slot (hardware keys can actually be erased)."""

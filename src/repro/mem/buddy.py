@@ -96,6 +96,16 @@ class BuddyAllocator:
             page.set_flag(PageFlag.RESERVED)
         self._seed_free_lists(reserved_frames, physmem.num_frames)
 
+    @property
+    def placement_rng(self) -> Optional[random.Random]:
+        return self._placement_rng
+
+    @placement_rng.setter
+    def placement_rng(self, rng: Optional[random.Random]) -> None:
+        # The free path draws through the bound method, looked up once.
+        self._placement_rng = rng
+        self._placement_draw = rng.randrange if rng is not None else None
+
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
@@ -122,17 +132,14 @@ class BuddyAllocator:
         """
         free_list = self._free_lists[order]
         if front:
-            if self.placement_rng is not None and free_list:
-                free_list.insert(self.placement_rng.randrange(len(free_list) + 1), frame)
+            draw = self._placement_draw
+            if draw is not None and free_list:
+                free_list.insert(draw(len(free_list) + 1), frame)
             else:
                 free_list.insert(0, frame)
         else:
             free_list.append(frame)
         self._free_heads[frame] = order
-
-    def _remove_free(self, frame: int, order: int) -> None:
-        self._free_lists[order].remove(frame)
-        del self._free_heads[frame]
 
     def _pop_free(self, order: int) -> int:
         frame = self._free_lists[order].pop()
@@ -192,6 +199,16 @@ class BuddyAllocator:
         return head
 
     def _commit_alloc(self, head: int, order: int, flags: PageFlag) -> None:
+        if not order:
+            page = self.pages[head]
+            if page.count != 0:
+                raise AllocatorStateError(f"allocating in-use frame {head}")
+            page.count = 1
+            page.flags = flags
+            page.order = 0
+            self._alloc_orders[head] = 0
+            self.alloc_count += 1
+            return
         size = 1 << order
         for frame in range(head, head + size):
             page = self.pages[frame]
@@ -221,20 +238,32 @@ class BuddyAllocator:
                 f"free order {order} does not match allocation order {recorded}"
             )
         order = recorded
-        size = 1 << order
-        for frame in range(head, head + size):
-            page = self.pages[frame]
+        if order:
+            for frame in range(head, head + (1 << order)):
+                page = self.pages[frame]
+                if page.count != 1:
+                    raise AllocatorStateError(
+                        f"freeing frame {frame} with refcount {page.count}"
+                    )
+                page.count = 0
+                page.reset_state()
+        else:
+            # One frame, the hot path: Page.reset_state() inline.
+            page = self.pages[head]
             if page.count != 1:
                 raise AllocatorStateError(
-                    f"freeing frame {frame} with refcount {page.count}"
+                    f"freeing frame {head} with refcount {page.count}"
                 )
             page.count = 0
-            page.reset_state()
+            page.flags = PageFlag.NONE
+            page.anon_vma = None
+            page.mapping = None
+            page.order = 0
         del self._alloc_orders[head]
         self.free_count += 1
 
         if self.clear_on_free:
-            for frame in range(head, head + size):
+            for frame in range(head, head + (1 << order)):
                 self._clear_frame(frame)
 
         # The hook is observational (KeySan scrub check, exit reaping);
@@ -245,24 +274,23 @@ class BuddyAllocator:
             if self.on_free is not None:
                 self.on_free(head, order, self.clear_on_free)
         finally:
-            if order == 0:
-                self._free_hot(head)
-            else:
+            if order:
                 self._merge_and_insert(head, order)
+            else:
+                # The hot list overflows from its cold end to the buddy.
+                hot = self._hot
+                hot.append(head)
+                self._hot_set.add(head)
+                if len(hot) > HOT_LIST_CAPACITY:
+                    cold = hot.popleft()
+                    self._hot_set.discard(cold)
+                    self._merge_and_insert(cold, 0)
 
     def _clear_frame(self, frame: int) -> None:
         self.physmem.clear_frame(frame)
         self.cleared_frames += 1
         if self.on_page_clear is not None:
             self.on_page_clear(1)
-
-    def _free_hot(self, frame: int) -> None:
-        self._hot.append(frame)
-        self._hot_set.add(frame)
-        while len(self._hot) > HOT_LIST_CAPACITY:
-            cold = self._hot.popleft()
-            self._hot_set.discard(cold)
-            self._merge_and_insert(cold, 0)
 
     def _drain_hot(self) -> None:
         while self._hot:
@@ -271,11 +299,15 @@ class BuddyAllocator:
             self._merge_and_insert(frame, 0)
 
     def _merge_and_insert(self, head: int, order: int, front: bool = True) -> None:
+        free_heads = self._free_heads
+        hot_set = self._hot_set
+        free_lists = self._free_lists
         while order < self.max_order:
             buddy = head ^ (1 << order)
-            if self._free_heads.get(buddy) != order or buddy in self._hot_set:
+            if free_heads.get(buddy) != order or buddy in hot_set:
                 break
-            self._remove_free(buddy, order)
+            free_lists[order].remove(buddy)
+            del free_heads[buddy]
             head = min(head, buddy)
             order += 1
         self._insert_free(head, order, front=front)

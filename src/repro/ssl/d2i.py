@@ -49,27 +49,36 @@ def d2i_privatekey(
         scrub_buffers = align
     # 1. PEM text: page cache copy (kernel) + heap buffer copy (user).
     pem_addr, pem_len = bio_read_file(process, path, use_nocache=use_nocache)
-    pem_bytes = process.mm.read(pem_addr, pem_len)
+    try:
+        pem_bytes = process.mm.read(pem_addr, pem_len)
 
-    # 2. base64-decode into the DER buffer: raw d/p/q bytes on the heap.
-    der = pem_decode(pem_bytes)
-    der_addr = process.heap.malloc(len(der))
-    process.mm.write(der_addr, der)
+        # 2. base64-decode into the DER buffer: raw d/p/q bytes on the heap.
+        der = pem_decode(pem_bytes)
+        der_addr = process.heap.malloc(len(der))
+        try:
+            process.mm.write(der_addr, der)
 
-    # 3. Parse the DER *as it sits in memory* into the nine integers.
-    der_in_memory = process.mm.read(der_addr, len(der))
-    n, e, d, p, q, dmp1, dmq1, iqmp = decode_rsa_private_key(der_in_memory)
+            # 3. Parse the DER *as it sits in memory* into the nine integers.
+            der_in_memory = process.mm.read(der_addr, len(der))
+            n, e, d, p, q, dmp1, dmq1, iqmp = decode_rsa_private_key(der_in_memory)
 
-    # 4. Six BIGNUM allocations — the working copies of the key parts.
-    values = {"d": d, "p": p, "q": q, "dmp1": dmp1, "dmq1": dmq1, "iqmp": iqmp}
-    parts = {name: bn_bin2bn(process, int_to_bytes(values[name])) for name in PART_NAMES}
+            # 4. Six BIGNUM allocations — the working copies of the key parts.
+            values = {"d": d, "p": p, "q": q, "dmp1": dmp1, "dmq1": dmq1, "iqmp": iqmp}
+            parts = {
+                name: bn_bin2bn(process, int_to_bytes(values[name]))
+                for name in PART_NAMES
+            }
+        finally:
+            # 5. Temporary buffers, freed on a failed decode too:
+            # scrubbed only under the paper's solutions.
+            process.heap.free(der_addr, clear=scrub_buffers)
+    finally:
+        process.heap.free(pem_addr, clear=scrub_buffers)
+
+    # 6. The struct that owns the six parts.
     rsa = RsaStruct(process, n=n, e=e, parts=parts)
 
-    # 5. Temporary buffers: scrubbed only under the paper's solutions.
-    process.heap.free(pem_addr, clear=scrub_buffers)
-    process.heap.free(der_addr, clear=scrub_buffers)
-
-    # 6. The library-level hook.
+    # 7. The library-level hook.
     if align:
         from repro.core.memory_align import rsa_memory_align
 

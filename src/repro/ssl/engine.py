@@ -21,23 +21,22 @@ corrupted or scrubbed key produces wrong results rather than silently
 using a Python-side copy.  A caller that chose the plaintext itself
 (the sshd key exchange, the TLS premaster) passes it as ``known``.
 The engine still makes every read, allocation, scratch write and clock
-charge, but it skips the two CRT exponentiations when an algebraic
-guard over the values read back holds: ``p*q == n``, ``dmp1`` and
-``dmq1`` invert ``e`` modulo ``p-1`` and ``q-1``, ``iqmp`` inverts
-``q`` modulo ``p``, and ``known`` lies in ``[0, n)`` and encrypts to
-``x``.  Unique factorisation and Fermat then make ``known`` exactly
-the CRT result, and ``known % p`` exactly the scratch value ``m1``.  A
-scrubbed, torn or corrupted part, or a wrong ``known``, fails the
-guard and takes the real exponentiations, so callers' mismatch checks
-still fire.  A factor that reads back as 0 or 1 raises
-:class:`CryptoError`.
+charge, but it skips the two CRT exponentiations when
+:func:`repro.crypto.rsa.crt_known_answer` holds over the values read
+back; ``known % p`` is then exactly the scratch value ``m1``.  The same
+guard serves a vault key: ``known`` goes on to
+:meth:`repro.hw.keyvault.KeyVault.private_op`, which checks it against
+the slot's own fields.  A scrubbed, torn or corrupted part, or a wrong
+``known``, fails the guard and takes the real exponentiations, so
+callers' mismatch checks still fire.  A factor that reads back as 0
+or 1 raises :class:`CryptoError`.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from repro.crypto.rsa import int_to_bytes
+from repro.crypto.rsa import crt_known_answer, int_to_bytes
 from repro.errors import CryptoError, RsaStructError
 from repro.ssl.rsa_st import MontgomeryContext, RsaFlag, RsaStruct
 
@@ -59,7 +58,7 @@ def rsa_private_operation(
 
     if rsa.vault_handle is not None:
         # Hardware path: the device computes; RAM sees nothing.
-        return kernel.vault.private_op(rsa.vault_handle, x)
+        return kernel.vault.private_op(rsa.vault_handle, x, known)
 
     if rsa.flags & RsaFlag.CACHE_PRIVATE:
         p = rsa.ensure_mont("p").modulus()
@@ -85,19 +84,7 @@ def rsa_private_operation(
             ctx.free(clear=False)
         raise CryptoError("degenerate RSA modulus: a factor reads back <= 1")
 
-    e, n = rsa.e, rsa.n
-    if (
-        known is not None
-        and p * q == n
-        and e * dmp1 % (p - 1) == 1
-        and e * dmq1 % (q - 1) == 1
-        and q * iqmp % p == 1
-        and 0 <= known < n
-        and pow(known, e, n) == x
-    ):
-        # rsa.n is the product of two primes, so p and q read back are
-        # those primes, and by Fermat the CRT below would compute
-        # exactly this m1 and this result.
+    if crt_known_answer(rsa.n, rsa.e, p, q, dmp1, dmq1, iqmp, x, known):
         m1 = known % p
         result = known
     else:

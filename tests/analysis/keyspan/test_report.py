@@ -21,11 +21,11 @@ MIN_N = 8
 #: persistent copies): the lexicographic narrowing metric.
 EXPECTED_METRICS = {
     "NONE": (5, 0, 0, 0),
-    "KERNEL": (3, 2740, 3929, 0),
-    "APPLICATION": (2, 2740, 3929, 1),
-    "LIBRARY": (1, 4240, 8169, 1),
-    "INTEGRATED": (0, 4240, 8169, 1),
-    "HARDWARE": (0, 4240, 8169, 0),
+    "KERNEL": (3, 2320, 3072, 0),
+    "APPLICATION": (2, 2320, 3072, 1),
+    "LIBRARY": (1, 4242, 7314, 1),
+    "INTEGRATED": (0, 4242, 7314, 1),
+    "HARDWARE": (0, 4242, 7314, 0),
 }
 
 
@@ -71,7 +71,7 @@ class TestLadderTheorem:
         worst = report.worst_transient("INTEGRATED")
         assert worst is not None
         assert not worst.top and not worst.per_conn
-        assert worst.evaluate(MIN_N) == 4240
+        assert worst.evaluate(MIN_N) == 4242
 
     def test_none_level_is_all_unbounded(self, report):
         assert report.unbounded_transient_kinds("NONE") == [
@@ -102,7 +102,7 @@ class TestExceptionRoutes:
 
     def test_kernel_teardown_bounds_the_raise_route(self, report):
         # With zero-on-free the raise route is bounded by the process
-        # teardown backstop; der's steady 1189 joins up to 2048.
+        # teardown backstop; der's steady 752 joins up to 2048.
         assert report.exception_windows["KERNEL"]["der-buffer"].evaluate(1) == 2048
         assert report.exception_windows["INTEGRATED"]["der-buffer"].evaluate(1) == 2048
 
@@ -129,7 +129,7 @@ class TestRenderers:
 
     def test_text_report_shows_the_ladder(self, report):
         text = report.render_text()
-        assert "∞" in text and "4240" in text
+        assert "∞" in text and "4242" in text
         assert "no-finally-scrub" in text
         for level in LADDER:
             assert level in text

@@ -22,7 +22,7 @@ class TestScrubAblation:
         # Forget that free() can clear: the pem/der staging buffers are
         # never scrubbed anywhere, and the ladder theorem collapses.
         ablated = analyze(config=DEFAULT_CONFIG.without_scrub("free"))
-        assert baseline_report.window("INTEGRATED", "pem-buffer").evaluate(1) == 2740
+        assert baseline_report.window("INTEGRATED", "pem-buffer").evaluate(1) == 2320
         assert ablated.window("INTEGRATED", "pem-buffer").top
         assert ablated.window("INTEGRATED", "der-buffer").top
         assert not ablated.integrated_is_constant()
@@ -34,7 +34,7 @@ class TestMitigationAblation:
         # Forget the in-library d2i alignment hook: the CRT parts that
         # escape into the RsaStruct are bounded by nothing.
         ablated = analyze(config=DEFAULT_CONFIG.without_mitigation("lib_align"))
-        assert baseline_report.window("LIBRARY", "crt-part").evaluate(1) == 4240
+        assert baseline_report.window("LIBRARY", "crt-part").evaluate(1) == 4242
         assert ablated.window("LIBRARY", "crt-part").top
         assert ablated.window("INTEGRATED", "crt-part").top
         assert not ablated.integrated_is_constant()

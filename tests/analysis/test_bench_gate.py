@@ -18,7 +18,7 @@ STATIC_ROWS = ["keylint", "keyflow+keyrecon", "keystate", "keycount",
                "keyspan", "analyze"]
 HOT_LOOPS = ["scan_256mb_full", "scan_apache_pool_16mb", "shadow_census_256mb",
              "taint_audit_16mb", "serve_sessions_16mb", "taint_sessions_16mb",
-             "keygen_cold_1024"]
+             "keygen_cold_1024", "hardware_sessions_16mb", "age_memory_32mb"]
 
 
 def row(name, best):
@@ -104,9 +104,16 @@ class TestHotLoops:
         assert "events_matched" not in emitted
 
 
+    def test_hardware_sessions_row_runs_in_the_vault(self):
+        """Every request's private operation is a key-vault operation."""
+        emitted = ledger.HOT_LOOPS["hardware_sessions_16mb"](1, 2)
+        assert emitted["best_seconds"] > 0
+        assert emitted["requests"] == emitted["vault_ops"] == 2
+
+
 class TestCommittedBaseline:
     def test_baseline_covers_every_layer(self):
-        """Six static rows, then the seven hot loops, all in one list."""
+        """Six static rows, then the nine hot loops, all in one list."""
         rows = committed_ledger()["rows"]
         assert [r["name"] for r in rows] == STATIC_ROWS + HOT_LOOPS
         assert list(ledger.STATIC_ROWS) + list(ledger.HOT_LOOPS) == (

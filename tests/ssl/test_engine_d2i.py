@@ -5,7 +5,7 @@ import pytest
 from repro.crypto.asn1 import encode_rsa_private_key
 from repro.crypto.pem import pem_encode
 from repro.crypto.rsa import int_to_bytes
-from repro.errors import CryptoError, RsaStructError, SslError
+from repro.errors import CryptoError, EncodingError, RsaStructError, SslError
 from repro.kernel.fs import SimFileSystem
 from repro.kernel.kernel import Kernel, KernelConfig
 from repro.ssl.bn import bn_bin2bn
@@ -22,15 +22,19 @@ def pem_for(key):
     return pem_encode(der)
 
 
-@pytest.fixture
-def env(rsa_key_256):
+def env_with(pem):
     kern = Kernel(KernelConfig.vulnerable(memory_mb=4))
     fs = SimFileSystem("ext2", label="root")
     fs.dirs.add("etc")
-    fs.create_file("etc/key.pem", pem_for(rsa_key_256))
+    fs.create_file("etc/key.pem", pem)
     kern.vfs.mount("/", fs)
     proc = kern.create_process("server")
     return kern, proc
+
+
+@pytest.fixture
+def env(rsa_key_256):
+    return env_with(pem_for(rsa_key_256))
 
 
 def make_struct(proc, key):
@@ -150,6 +154,35 @@ class TestD2i:
         d2i_privatekey(proc, "/etc/key.pem")
         # p appears in: live BN + stale DER buffer = 2 user copies.
         assert len(kern.physmem.find_all(rsa_key_256.p_bytes())) == 2
+
+    @pytest.mark.parametrize("align, copies", [(True, 1), (False, 2)])
+    def test_failed_pem_decode_frees_its_buffer(self, rsa_key_256, align, copies):
+        """A corrupted base64 line: the PEM buffer is freed (scrubbed
+        under alignment), so only the page cache keeps the body."""
+        lines = pem_for(rsa_key_256).split(b"\n")
+        intact = lines[2]
+        lines[1] = b"!" + lines[1][1:]
+        kern, proc = env_with(b"\n".join(lines))
+        live = proc.heap.live_chunks()
+        with pytest.raises(EncodingError):
+            d2i_privatekey(proc, "/etc/key.pem", align=align)
+        assert proc.heap.live_chunks() == live
+        assert len(kern.physmem.find_all(intact)) == copies
+
+    @pytest.mark.parametrize("align, copies", [(True, 0), (False, 1)])
+    def test_failed_der_decode_frees_both_buffers(self, rsa_key_256, align, copies):
+        """Valid base64 of a truncated DER blob: the parse fails after
+        the DER buffer exists, and both buffers are freed."""
+        der = encode_rsa_private_key(
+            rsa_key_256.n, rsa_key_256.e, rsa_key_256.d, rsa_key_256.p,
+            rsa_key_256.q, rsa_key_256.dmp1, rsa_key_256.dmq1, rsa_key_256.iqmp,
+        )
+        kern, proc = env_with(pem_encode(der[:-8]))
+        live = proc.heap.live_chunks()
+        with pytest.raises(CryptoError):
+            d2i_privatekey(proc, "/etc/key.pem", align=align)
+        assert proc.heap.live_chunks() == live
+        assert len(kern.physmem.find_all(rsa_key_256.p_bytes())) == copies
 
     def test_align_scrubs_buffers(self, env, rsa_key_256):
         kern, proc = env

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from repro.core.memory_align import rsa_memory_align
 from repro.core.protection import ProtectionLevel
 from repro.core.simulation import Simulation, SimulationConfig
+from repro.crypto import rsa as rsa_module
 from repro.crypto.randsrc import DeterministicRandom
 from repro.crypto.rsa import generate_rsa_key, int_to_bytes
 from repro.errors import ConnectionRejectedError, CryptoError, WorkloadError
@@ -91,7 +92,9 @@ def pow_moduli():
         seen.append(mod)
         return builtins.pow(base, exp, mod)
 
-    with mock.patch.object(engine, "pow", spy, create=True):
+    # The known-answer guard's re-encryption runs in crypto.rsa.
+    with mock.patch.object(engine, "pow", spy, create=True), \
+            mock.patch.object(rsa_module, "pow", spy, create=True):
         yield seen
 
 

@@ -15,8 +15,9 @@ the trajectory tooling reads every ``BENCH_*.json``).  It holds a flat
   time in: the 256 MB sparse memory scan, a full scan of an apache
   worker pool's many key copies, the KeySan shadow census,
   one KeySan audit of a 16 MB machine, 100 scp sessions without and
-  with KeySan's write hook, and cold per-run keygen (beside the warm
-  corpus hit).
+  with KeySan's write hook, cold per-run keygen (beside the warm
+  corpus hit), 100 apache requests served by the key vault, and boot
+  aging of a 32 MB machine.
 * **Sweep speedup.**  The quick-scale OpenSSH n_tty sweep runs serially
   and at ``WORKERS`` workers after the key corpus is prewarmed, so
   neither side pays keygen in the timed region.  The cells must be
@@ -42,6 +43,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import random
 import sys
 import time
 from pathlib import Path
@@ -235,25 +237,68 @@ def _taint_audit_16mb(repeat: int) -> dict:
     }
 
 
+def _best_on_fresh(boot, work, repeat: int):
+    """Best wall time of ``work(machine)`` over ``repeat`` machines, each
+    from ``boot()`` outside the timed region, so each times the same
+    work; returns it and the last machine."""
+    best = machine = None
+    for _ in range(repeat):
+        machine = boot()
+        start = time.perf_counter()
+        work(machine)
+        elapsed = time.perf_counter() - start
+        best = elapsed if best is None else min(best, elapsed)
+    return best, machine
+
+
 def _sessions_16mb(taint: bool, repeat: int, sessions: int = 100) -> dict:
     """scp sessions on a 16 MB machine, under KeySan's write hook if
     ``taint``; without it, apps, kernel and the RSA private operation
-    alone.  Each repetition boots a fresh machine outside the timed
-    region, so each times the same sessions."""
-    best = None
-    for _ in range(repeat):
-        sim = _machine(taint)
-        start = time.perf_counter()
+    alone."""
+    def work(sim):
         for index in range(sessions):
             sim.server.run_connection_cycle(
                 SCP_FILE_SIZES[index % len(SCP_FILE_SIZES)]
             )
-        elapsed = time.perf_counter() - start
-        best = elapsed if best is None else min(best, elapsed)
+
+    best, sim = _best_on_fresh(lambda: _machine(taint), work, repeat)
     row = {"best_seconds": best, "sessions": sessions}
     if taint:
         row["events_matched"] = sim.keysan.events_matched
     return row
+
+
+def _hardware_sessions_16mb(repeat: int, requests: int = 100) -> dict:
+    """Siege requests on a 16 MB apache machine at HARDWARE, where every
+    private operation runs in the key vault."""
+    def boot():
+        sim = Simulation(SimulationConfig(
+            server="apache", level=ProtectionLevel.HARDWARE, memory_mb=16,
+            seed=SEED,
+        ))
+        sim.start_server()
+        return sim
+
+    def work(sim):
+        for _ in range(requests):
+            sim.server.handle_request(SIEGE_RESPONSE_BYTES)
+
+    best, sim = _best_on_fresh(boot, work, repeat)
+    return {"best_seconds": best, "requests": requests,
+            "vault_ops": sim.kernel.vault.ops_performed}
+
+
+def _age_memory_32mb(repeat: int) -> dict:
+    """Boot aging of a fresh 32 MB machine: the buddy allocator's
+    order-0 alloc and free paths, frame by frame."""
+    def boot():
+        return Kernel(KernelConfig.vulnerable(memory_mb=32))
+
+    def work(kern):
+        kern.age_memory(random.Random(SEED))
+
+    best, kern = _best_on_fresh(boot, work, repeat)
+    return {"best_seconds": best, "held_frames": len(kern._aged_holders)}
 
 
 def _keygen_cold(repeat: int) -> dict:
@@ -276,6 +321,8 @@ HOT_LOOPS = {
     "serve_sessions_16mb": functools.partial(_sessions_16mb, False),
     "taint_sessions_16mb": functools.partial(_sessions_16mb, True),
     f"keygen_cold_{KEY_BITS}": _keygen_cold,
+    "hardware_sessions_16mb": _hardware_sessions_16mb,
+    "age_memory_32mb": _age_memory_32mb,
 }
 
 

@@ -29,18 +29,62 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.protection import ProtectionLevel
 
-#: Paper-scale parameter grids (§2).
-PAPER_EXT2_CONNECTIONS = tuple(range(50, 501, 50))
-PAPER_EXT2_DIRECTORIES = tuple(range(1000, 10001, 1000))
-PAPER_NTTY_CONNECTIONS = tuple(range(0, 121, 10))
-PAPER_EXT2_REPETITIONS = 15
-PAPER_NTTY_REPETITIONS = 20
+@dataclass(frozen=True)
+class Scale:
+    """One grid size for every paper experiment: the attack sweeps,
+    the performance runs and the timelines.  ``sweep --scale`` and the
+    claims in ``benchmarks/test_claims.py`` both read :data:`SCALES`."""
+
+    name: str
+    ext2_connections: Tuple[int, ...]
+    ext2_directories: Tuple[int, ...]
+    ext2_repetitions: int
+    ntty_connections: Tuple[int, ...]
+    ntty_repetitions: int
+    perf_transactions: int
+    timeline_cycles_per_slot: int
+    #: RAM for the ext2 sweep, the performance runs and the timelines.
+    memory_mb: int
+    #: The n_tty sweep holds up to 120 sshd children open at once, each
+    #: with a realistic image footprint, so it needs a bigger box.
+    ntty_memory_mb: int
+
 
 #: Scaled-down grids that preserve the shapes but run in seconds.
-QUICK_EXT2_CONNECTIONS = (25, 100, 250)
-QUICK_EXT2_DIRECTORIES = (200, 800, 2000)
-QUICK_NTTY_CONNECTIONS = (0, 10, 30, 60, 120)
-QUICK_REPETITIONS = 5
+QUICK = Scale(
+    name="quick",
+    ext2_connections=(25, 100, 250),
+    ext2_directories=(200, 800, 2000),
+    ext2_repetitions=5,
+    ntty_connections=(0, 10, 30, 60, 120),
+    ntty_repetitions=5,
+    perf_transactions=200,
+    timeline_cycles_per_slot=2,
+    memory_mb=16,
+    ntty_memory_mb=32,
+)
+
+#: The paper's full grids (§2): 15/20 attack repetitions, connections
+#: up to 500, directories up to 10000, 4000 transfers.
+PAPER = Scale(
+    name="paper",
+    ext2_connections=tuple(range(50, 501, 50)),
+    ext2_directories=tuple(range(1000, 10001, 1000)),
+    ext2_repetitions=15,
+    ntty_connections=tuple(range(0, 121, 10)),
+    ntty_repetitions=20,
+    perf_transactions=4000,
+    timeline_cycles_per_slot=4,
+    memory_mb=32,
+    ntty_memory_mb=64,
+)
+
+SCALES = {scale.name: scale for scale in (QUICK, PAPER)}
+
+#: The quick grids under their own names (``e2ebench`` reads these).
+QUICK_EXT2_CONNECTIONS = QUICK.ext2_connections
+QUICK_EXT2_DIRECTORIES = QUICK.ext2_directories
+QUICK_NTTY_CONNECTIONS = QUICK.ntty_connections
 
 
 @dataclass
@@ -91,7 +135,7 @@ def ext2_attack_sweep(
     server: str,
     connections: Sequence[int] = QUICK_EXT2_CONNECTIONS,
     directories: Sequence[int] = QUICK_EXT2_DIRECTORIES,
-    repetitions: int = QUICK_REPETITIONS,
+    repetitions: int = QUICK.ext2_repetitions,
     level: ProtectionLevel = ProtectionLevel.NONE,
     seed: int = 0,
     memory_mb: int = 16,
@@ -125,7 +169,7 @@ def ext2_attack_sweep(
 def ntty_attack_sweep(
     server: str,
     connections: Sequence[int] = QUICK_NTTY_CONNECTIONS,
-    repetitions: int = QUICK_REPETITIONS,
+    repetitions: int = QUICK.ntty_repetitions,
     level: ProtectionLevel = ProtectionLevel.NONE,
     seed: int = 0,
     memory_mb: int = 16,
@@ -158,7 +202,7 @@ def ntty_attack_sweep(
 def mitigation_comparison(
     server: str,
     connections: Sequence[int] = QUICK_NTTY_CONNECTIONS,
-    repetitions: int = QUICK_REPETITIONS,
+    repetitions: int = QUICK.ntty_repetitions,
     mitigated_level: ProtectionLevel = ProtectionLevel.INTEGRATED,
     seed: int = 0,
     memory_mb: int = 16,

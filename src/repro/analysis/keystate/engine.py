@@ -317,10 +317,13 @@ class _FunctionRun:
         outs_exc: List[Optional[Tuple[Dict[str, Token], Dict[Token, Pairs]]]],
     ) -> Optional[Tuple[Dict[str, Token], Dict[Token, Pairs]]]:
         contributions = []
+        normal_envs = []
         for p_idx, kind in preds[idx]:
             out = outs_exc[p_idx] if kind == "exception" else outs[p_idx]
             if out is not None:
                 contributions.append(out)
+                if kind != "exception":
+                    normal_envs.append(out[0])
         if idx == self.cfg.entry:
             return outs[idx]
         if not contributions:
@@ -330,16 +333,21 @@ class _FunctionRun:
             for token, pairs in other_obj.items():
                 obj[token] = obj.get(token, frozenset()) | pairs
         # must-alias: a variable stays bound only when it is bound on
-        # every path; when paths bind *different* objects, rebind it to
-        # a merge token carrying the union of their states (sound weak
-        # update — reports from it say "possibly")
-        common = set(contributions[0][0])
-        for other_env, _ in contributions[1:]:
+        # every normal path; when paths bind *different* objects,
+        # rebind it to a merge token carrying the union of their states
+        # (sound weak update — reports from it say "possibly").  An
+        # exception edge that lacks the binding does not veto it: a
+        # ``finally`` is one region for both routes, and on the
+        # exception route the binding's statement never completed, so
+        # its object carries no states from that route either.
+        voters = normal_envs or [c_env for c_env, _ in contributions]
+        common = set(voters[0])
+        for other_env in voters[1:]:
             common &= set(other_env)
         env: Dict[str, Token] = {}
         merged_away: Set[Token] = set()
         for var in sorted(common):
-            tokens = {c_env[var] for c_env, _ in contributions}
+            tokens = {c_env[var] for c_env, _ in contributions if var in c_env}
             if len(tokens) == 1:
                 env[var] = next(iter(tokens))
             else:

@@ -254,33 +254,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sweep_grids(args: argparse.Namespace):
-    """Grid + machine parameters for the chosen ``--scale``."""
-    from repro.analysis import experiments as exp
-
-    if args.scale == "paper":
-        return {
-            "ext2_connections": exp.PAPER_EXT2_CONNECTIONS,
-            "ext2_directories": exp.PAPER_EXT2_DIRECTORIES,
-            "ext2_repetitions": exp.PAPER_EXT2_REPETITIONS,
-            "ntty_connections": exp.PAPER_NTTY_CONNECTIONS,
-            "ntty_repetitions": exp.PAPER_NTTY_REPETITIONS,
-            "perf_transactions": 4000,
-            "ext2_memory_mb": 32,
-            "ntty_memory_mb": 64,
-        }
-    return {
-        "ext2_connections": exp.QUICK_EXT2_CONNECTIONS,
-        "ext2_directories": exp.QUICK_EXT2_DIRECTORIES,
-        "ext2_repetitions": exp.QUICK_REPETITIONS,
-        "ntty_connections": exp.QUICK_NTTY_CONNECTIONS,
-        "ntty_repetitions": exp.QUICK_REPETITIONS,
-        "perf_transactions": 200,
-        "ext2_memory_mb": 16,
-        "ntty_memory_mb": 32,
-    }
-
-
 def _cells_json(result) -> list:
     """A sweep's cells, keyed N (ntty) or (N, D) (ext2)."""
     rows = []
@@ -327,16 +300,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     from repro.analysis import parallel
     from repro.analysis.experiments import (
+        SCALES,
         ext2_attack_sweep,
         mitigation_comparison,
         ntty_attack_sweep,
     )
     from repro.analysis.perfbench import overhead_ratio
 
-    grids = _sweep_grids(args)
+    scale = SCALES[args.scale]
     level = ProtectionLevel(args.level)
-    ntty_mb = args.memory_mb or grids["ntty_memory_mb"]
-    ext2_mb = args.memory_mb or grids["ext2_memory_mb"]
+    ntty_mb = args.memory_mb or scale.ntty_memory_mb
+    ext2_mb = args.memory_mb or scale.memory_mb
     progress = parallel.stderr_progress(f"sweep:{args.kind}")
     common = dict(workers=args.workers, timeout_s=args.timeout,
                   progress=progress, retries=args.retries)
@@ -364,7 +338,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         return 2
     if args.kind == "ntty":
         result = ntty_attack_sweep(
-            args.server, grids["ntty_connections"], grids["ntty_repetitions"],
+            args.server, scale.ntty_connections, scale.ntty_repetitions,
             level, seed=args.seed, memory_mb=ntty_mb,
             key_bits=args.key_bits, attacker=args.attacker, **common,
         )
@@ -372,8 +346,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         failures = result.failures
     elif args.kind == "ext2":
         result = ext2_attack_sweep(
-            args.server, grids["ext2_connections"], grids["ext2_directories"],
-            grids["ext2_repetitions"], level, seed=args.seed,
+            args.server, scale.ext2_connections, scale.ext2_directories,
+            scale.ext2_repetitions, level, seed=args.seed,
             memory_mb=ext2_mb, key_bits=args.key_bits,
             attacker=args.attacker, **common,
         )
@@ -381,7 +355,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         failures = result.failures
     elif args.kind == "mitigation":
         baseline, mitigated = mitigation_comparison(
-            args.server, grids["ntty_connections"], grids["ntty_repetitions"],
+            args.server, scale.ntty_connections, scale.ntty_repetitions,
             mitigated_level=ProtectionLevel.INTEGRATED, seed=args.seed,
             memory_mb=ntty_mb, key_bits=args.key_bits, **common,
         )
@@ -393,9 +367,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         failures = baseline.failures + mitigated.failures
     else:  # perf: before/after scp or siege through the same pool
         perf_kind = "scp" if args.server == "openssh" else "siege"
-        memory_mb = args.memory_mb or grids["ext2_memory_mb"]
+        memory_mb = args.memory_mb or scale.memory_mb
         specs = [
-            parallel.perf_spec(perf_kind, lvl, grids["perf_transactions"],
+            parallel.perf_spec(perf_kind, lvl, scale.perf_transactions,
                                20, args.seed, memory_mb, args.key_bits)
             for lvl in (ProtectionLevel.NONE, ProtectionLevel.INTEGRATED)
         ]
@@ -612,7 +586,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_machine(sweep)
     sweep.add_argument(
         "--scale", choices=("quick", "paper"), default="quick",
-        help="grid size: scaled-down shapes or the paper's full §2 grids",
+        help="grid size: scaled-down shapes or the paper's full §2 scale",
     )
     sweep.add_argument(
         "--workers", type=int, default=1,

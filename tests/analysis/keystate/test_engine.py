@@ -168,6 +168,61 @@ class TestInterprocedural:
         assert by_rule(report, "serve-before-align") == []
 
 
+class TestTryFinally:
+    """An object created in a ``try`` body keeps its binding past the
+    ``finally``: the finally is one CFG region for both routes, and the
+    exception route (where the creation never completed) must not
+    unbind it on the normal route."""
+
+    def test_use_after_finally_is_tracked(self, tmp_path):
+        report = run(
+            tmp_path,
+            "def load(process, msg):\n"
+            "    try:\n"
+            "        rsa = RsaStruct(process)\n"
+            "    finally:\n"
+            "        cleanup()\n"
+            "    rsa_private_operation(rsa, msg)\n",
+        )
+        (finding,) = by_rule(report, "serve-before-align")
+        assert finding.baseline_id == (
+            "serve-before-align:mod.load:new:RsaStruct:serve"
+        )
+        assert not finding.message.startswith("possibly")
+
+    def test_return_after_finally_reaches_the_caller(self, tmp_path):
+        report = run(
+            tmp_path,
+            "def load(process, path):\n"
+            "    buf = read(path)\n"
+            "    try:\n"
+            "        parts = parse(buf)\n"
+            "        rsa = RsaStruct(process, parts)\n"
+            "    finally:\n"
+            "        release(buf)\n"
+            "    return rsa\n"
+            "\n"
+            "def serve(process, path, msg):\n"
+            "    rsa = load(process, path)\n"
+            "    rsa_private_operation(rsa, msg)\n",
+        )
+        (finding,) = by_rule(report, "serve-before-align")
+        assert finding.function == "mod.serve"
+
+    def test_align_after_finally_still_silences(self, tmp_path):
+        report = run(
+            tmp_path,
+            "def load(process, msg):\n"
+            "    try:\n"
+            "        rsa = RsaStruct(process)\n"
+            "    finally:\n"
+            "        cleanup()\n"
+            "    rsa_memory_align(rsa)\n"
+            "    rsa_private_operation(rsa, msg)\n",
+        )
+        assert by_rule(report, "serve-before-align") == []
+
+
 class TestSecretTemp:
     def test_unscrubbed_temp_reported_on_both_exits(self, tmp_path):
         report = run(

@@ -4,11 +4,7 @@ and the paper-scale parameter constants."""
 import pytest
 
 from repro.analysis.experiments import (
-    PAPER_EXT2_CONNECTIONS,
-    PAPER_EXT2_DIRECTORIES,
-    PAPER_EXT2_REPETITIONS,
-    PAPER_NTTY_CONNECTIONS,
-    PAPER_NTTY_REPETITIONS,
+    PAPER,
     ext2_attack_sweep,
     ntty_attack_sweep,
 )
@@ -18,14 +14,14 @@ from repro.core.protection import ProtectionLevel
 class TestPaperScaleConstants:
     def test_ext2_grid_matches_section2(self):
         """§2: connections 50..500, directories 1000..10000, 15 attacks."""
-        assert PAPER_EXT2_CONNECTIONS == tuple(range(50, 501, 50))
-        assert PAPER_EXT2_DIRECTORIES == tuple(range(1000, 10001, 1000))
-        assert PAPER_EXT2_REPETITIONS == 15
+        assert PAPER.ext2_connections == tuple(range(50, 501, 50))
+        assert PAPER.ext2_directories == tuple(range(1000, 10001, 1000))
+        assert PAPER.ext2_repetitions == 15
 
     def test_ntty_grid_matches_section2(self):
         """§2: connections up to ~120, 20 attacks averaged."""
-        assert max(PAPER_NTTY_CONNECTIONS) == 120
-        assert PAPER_NTTY_REPETITIONS == 20
+        assert max(PAPER.ntty_connections) == 120
+        assert PAPER.ntty_repetitions == 20
 
 
 class TestApacheSweeps:

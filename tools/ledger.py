@@ -53,10 +53,7 @@ SRC = REPO_ROOT / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
-from repro.analysis.experiments import (
-    QUICK_NTTY_CONNECTIONS,
-    QUICK_REPETITIONS,
-)
+from repro.analysis.experiments import QUICK
 from repro.analysis.lint import lint_paths
 from repro.analysis.parallel import (
     available_cores,
@@ -369,7 +366,7 @@ def check_regression(rows: list, baseline_payload: dict) -> list:
 # ----------------------------------------------------------------------
 def sweep_speedup() -> dict:
     specs = ntty_sweep_specs(
-        "openssh", QUICK_NTTY_CONNECTIONS, QUICK_REPETITIONS,
+        "openssh", QUICK.ntty_connections, QUICK.ntty_repetitions,
         ProtectionLevel.NONE, SEED, MEMORY_MB, KEY_BITS,
     )
     started = time.monotonic()
@@ -391,8 +388,8 @@ def sweep_speedup() -> dict:
     return {
         "workers": WORKERS,
         "grid": {
-            "connections": list(QUICK_NTTY_CONNECTIONS),
-            "repetitions": QUICK_REPETITIONS,
+            "connections": list(QUICK.ntty_connections),
+            "repetitions": QUICK.ntty_repetitions,
             "memory_mb": MEMORY_MB,
             "key_bits": KEY_BITS,
             "seed": SEED,

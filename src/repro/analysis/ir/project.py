@@ -31,7 +31,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 #: The package's own source tree: the one default analysis root.
 REPRO_ROOT = Path(__file__).resolve().parents[2]
@@ -157,6 +157,31 @@ def discover_files(paths: Sequence[Path]) -> List[Tuple[Path, Path]]:
     return pairs
 
 
+@dataclass(frozen=True)
+class ParsedFile:
+    """One source file, read and parsed once for every consumer."""
+
+    root: Path
+    path: Path
+    #: POSIX path relative to ``root`` (also the parse's filename).
+    rel_path: str
+    source: str
+    tree: ast.Module
+
+
+def parse_files(pairs: Iterable[Tuple[Path, Path]]) -> Iterator[ParsedFile]:
+    """Read and parse each ``(root, file)`` pair, one at a time.
+
+    A stream, not a list: a consumer drops each tree when it is done
+    with it, so a whole-tree load never holds every module at once."""
+    for root, file_path in pairs:
+        rel_path = file_path.relative_to(root).as_posix()
+        source = file_path.read_text(encoding="utf-8")
+        yield ParsedFile(
+            root, file_path, rel_path, source, ast.parse(source, filename=rel_path)
+        )
+
+
 def module_name_for(root: Path, file_path: Path) -> str:
     """Runtime import name of ``file_path`` under analysis root
     ``root``.  When the root is itself a package directory (has an
@@ -198,22 +223,27 @@ class Project:
         cls,
         paths: Sequence[Path],
         files: Optional[Sequence[Tuple[Path, Path]]] = None,
+        parsed: Optional[Iterable[ParsedFile]] = None,
     ) -> "Project":
         """Parse all sources.  ``files`` (root, file) pairs override
         path discovery — the determinism test feeds shuffled orders
-        through it; results must not depend on the order."""
+        through it; results must not depend on the order.  ``parsed``
+        overrides both with an already-parsed stream (``repro analyze``
+        lints each file as it passes through); no tree or source text
+        is kept once the load returns."""
         project = cls()
-        pairs = list(files) if files is not None else discover_files(paths)
-        for root, file_path in pairs:
-            project._add_file(root, file_path)
+        if parsed is None:
+            pairs = list(files) if files is not None else discover_files(paths)
+            parsed = parse_files(pairs)
+        for record in parsed:
+            project._add_file(record)
         project._index()
         return project
 
-    def _add_file(self, root: Path, file_path: Path) -> None:
-        module = module_name_for(root, file_path)
-        rel_path = file_path.relative_to(root).as_posix()
-        source = file_path.read_text(encoding="utf-8")
-        tree = ast.parse(source, filename=rel_path)
+    def _add_file(self, record: ParsedFile) -> None:
+        module = module_name_for(record.root, record.path)
+        rel_path = record.rel_path
+        tree = record.tree
         collector = _FunctionCollector(module, rel_path)
         collector.visit(tree)
         for info in collector.found:

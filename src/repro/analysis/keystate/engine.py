@@ -884,9 +884,40 @@ class _FunctionRun:
 # ----------------------------------------------------------------------
 # interprocedural driver, one automaton at a time
 # ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class _CallIndex:
+    """Per-function call facts every automaton reads; built once per
+    analysis and never changed."""
+
+    #: function -> terminals it calls, nested defs included (for the
+    #: relevance filter).
+    terminals: Dict[str, FrozenSet[str]]
+    #: function -> every resolved callee.
+    callees: Dict[str, FrozenSet[str]]
+
+    @classmethod
+    def build(cls, project: Project) -> "_CallIndex":
+        terminals: Dict[str, FrozenSet[str]] = {}
+        callees: Dict[str, FrozenSet[str]] = {}
+        for name, info in project.functions.items():
+            terminals[name] = frozenset(
+                call_terminal(call)
+                for call in ast.walk(info.node)
+                if isinstance(call, ast.Call)
+            ) - {None}
+            callees[name] = frozenset(
+                t for targets in info.call_targets.values() for t in targets
+            )
+        return cls(terminals, callees)
+
+
 class _AutomatonEngine:
     def __init__(
-        self, project: Project, automaton: Automaton, config: KeyStateConfig
+        self,
+        project: Project,
+        automaton: Automaton,
+        config: KeyStateConfig,
+        calls: _CallIndex,
     ) -> None:
         self.project = project
         self.automaton = automaton
@@ -900,21 +931,7 @@ class _AutomatonEngine:
         interesting = {t for t, _ in automaton.creators}
         interesting.update(p.terminal for p in automaton.events)
         self._interesting = interesting
-        #: function -> terminals it calls (for the relevance filter).
-        self._terminals: Dict[str, Set[str]] = {}
-        self._callees: Dict[str, Set[str]] = {}
-        for name, info in project.functions.items():
-            terms: Set[str] = set()
-            for call in (
-                n for n in ast.walk(info.node) if isinstance(n, ast.Call)
-            ):
-                terminal = call_terminal(call)
-                if terminal is not None:
-                    terms.add(terminal)
-            self._terminals[name] = terms
-            self._callees[name] = {
-                t for targets in info.call_targets.values() for t in targets
-            }
+        self._calls = calls
 
     def cfg_for(self, info: FunctionInfo) -> CFG:
         cfg = self._cfgs.get(info.full_name)
@@ -951,7 +968,7 @@ class _AutomatonEngine:
 
     # ------------------------------------------------------------------
     def _relevant(self, name: str) -> bool:
-        if self._terminals[name] & self._interesting:
+        if self._calls.terminals[name] & self._interesting:
             return True
         if any(self.summaries[name].param_states.values()):
             return True
@@ -960,7 +977,7 @@ class _AutomatonEngine:
             return True
         return any(
             self.summaries.get(c) is not None and self.summaries[c].creations
-            for c in self._callees[name]
+            for c in self._calls.callees[name]
             if c in self.summaries
         )
 
@@ -1081,11 +1098,14 @@ def analyze(
     project = load_project(paths, files, project)
     automata = automata_by_name(config.automata)
 
+    calls = _CallIndex.build(project)
     findings: List[Finding] = []
     rule_descriptions: Dict[str, str] = {}
     for automaton in automata:
         rule_descriptions.update(automaton.rules)
-        findings.extend(_AutomatonEngine(project, automaton, config).run())
+        findings.extend(
+            _AutomatonEngine(project, automaton, config, calls).run()
+        )
 
     return KeyStateReport(
         findings=sort_findings(findings),

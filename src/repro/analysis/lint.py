@@ -88,7 +88,19 @@ import ast
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
+
+if TYPE_CHECKING:
+    from repro.analysis.ir.project import ParsedFile
 
 #: Every rule keylint knows, in report order.
 RULE_NAMES = (
@@ -297,7 +309,13 @@ def _name_tokens(name: str) -> Set[str]:
 
 def _scope_nodes(node: ast.AST) -> Iterable[ast.AST]:
     """AST nodes of a function's own body, not descending into nested
-    function or lambda scopes (those get their own per-scope checks)."""
+    function or lambda scopes (those get their own per-scope checks).
+
+    Not :func:`repro.analysis.ir.project.iter_own_nodes`: that one
+    descends into lambdas and skips classes, this one skips lambdas
+    (keylint checks them as scopes), descends into classes and covers
+    the signature and decorators, so merging the two would move
+    keylint's findings."""
     stack = list(ast.iter_child_nodes(node))
     while stack:
         sub = stack.pop()
@@ -376,14 +394,16 @@ class _FileLinter(ast.NodeVisitor):
     # ------------------------------------------------------------------
     # function scope tracking (memalign-mlock is a per-function rule)
     # ------------------------------------------------------------------
-    def _check_derived_scrub(self, node, scope_name: str) -> None:
+    def _check_derived_scrub(
+        self, nodes: Sequence[ast.AST], scope_name: str
+    ) -> None:
         """derived-secret-scrub: a scope that clear-scrubs the primary
         secret but leaves derived fragments (CRT exponents, Montgomery
         residues) it also touches unscrubbed."""
         primary_scrubs: List[Tuple[ast.Call, List[str]]] = []
         derived_seen: Set[str] = set()
         derived_scrubbed = False
-        for sub in _scope_nodes(node):
+        for sub in nodes:
             if isinstance(sub, ast.Name):
                 derived_seen.update(_name_tokens(sub.id) & DERIVED_SECRET_TOKENS)
             elif isinstance(sub, ast.Attribute):
@@ -418,13 +438,15 @@ class _FileLinter(ast.NodeVisitor):
                     f"half-scrub buys nothing (see keyrecon)",
                 )
 
-    def _check_long_lived(self, node, scope_name: str) -> None:
+    def _check_long_lived(
+        self, nodes: Sequence[ast.AST], scope_name: str
+    ) -> None:
         """long-lived-secret: the scope mints key material, then blocks
         (network wait, session driver) with the copies still live — no
         scrub or mitigation handoff in between.  Own-scope calls are
         replayed in source order as the execution-order approximation."""
         calls: List[Tuple[int, int, str, ast.Call]] = []
-        for sub in _scope_nodes(node):
+        for sub in nodes:
             if isinstance(sub, ast.Call):
                 name = _call_name(sub)
                 if name is not None:
@@ -451,8 +473,9 @@ class _FileLinter(ast.NodeVisitor):
 
     def _visit_scope(self, node, scope_name: str) -> None:
         self._func_stack.append((scope_name, [], False))
-        self._check_derived_scrub(node, scope_name)
-        self._check_long_lived(node, scope_name)
+        nodes = list(_scope_nodes(node))
+        self._check_derived_scrub(nodes, scope_name)
+        self._check_long_lived(nodes, scope_name)
         self.generic_visit(node)
         name, memaligns, has_mlock = self._func_stack.pop()
         if name in MEMALIGN_DEFINERS:
@@ -656,10 +679,14 @@ class _FileLinter(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def lint_source(source: str, rel_path: str) -> List[LintViolation]:
+def lint_source(
+    source: str, rel_path: str, tree: Optional[ast.Module] = None
+) -> List[LintViolation]:
     """Lint one file's source text; ``rel_path`` drives path exemptions
-    and appears in the reports."""
-    tree = ast.parse(source, filename=rel_path)
+    and appears in the reports.  ``tree`` is ``source`` already parsed
+    (``repro analyze`` passes the shared parse); it is not modified."""
+    if tree is None:
+        tree = ast.parse(source, filename=rel_path)
     linter = _FileLinter(rel_path)
     linter.visit(tree)
     ignored = _ignored_rules(source)
@@ -675,9 +702,15 @@ def lint_source(source: str, rel_path: str) -> List[LintViolation]:
     return kept
 
 
-def lint_file(path: Path, root: Optional[Path] = None) -> List[LintViolation]:
+def lint_file(
+    path: Path, root: Optional[Path] = None, parsed: Optional[ParsedFile] = None
+) -> List[LintViolation]:
     """Lint one ``.py`` file.  ``root`` anchors the relative path used
-    for exemptions (defaults to the file's parent)."""
+    for exemptions (defaults to the file's parent).  ``parsed`` is the
+    file already read and parsed by ``ir.project.parse_files``; its
+    source, tree and relative path are used as they are."""
+    if parsed is not None:
+        return lint_source(parsed.source, parsed.rel_path, tree=parsed.tree)
     path = Path(path)
     base = root if root is not None else path.parent
     try:

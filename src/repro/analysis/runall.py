@@ -1,10 +1,12 @@
 """``repro analyze``: the whole static stack over one shared IR build.
 
 This is the one front end to the static layers, and :data:`LAYERS` is
-their one registry.  It discovers files once, builds one
-:class:`~repro.analysis.ir.project.Project`, and feeds it to:
+their one registry.  It discovers and parses each file once, builds
+one :class:`~repro.analysis.ir.project.Project` from that parse, and
+feeds it to:
 
-1. **keylint** — syntactic rules over the same discovered file list;
+1. **keylint** — syntactic rules over the trees of that one shared
+   parse, linted as the IR build reads them;
 2. **KeyFlow** — interprocedural taint;
 3. **KeyState** — mitigation-API typestate;
 4. **KeyCount** — quantitative copy bounds;
@@ -32,14 +34,16 @@ import importlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.analysis.baseline import BaselineDrift, compare_baseline, load_baseline
 from repro.analysis.ir.project import (
     REPRO_ROOT,
+    ParsedFile,
     Project,
     analysis_roots,
     discover_files,
+    parse_files,
 )
 from repro.analysis.lint import LintViolation, lint_file, render_report, render_sarif
 from repro.analysis.sarif import merge_sarif_logs
@@ -176,6 +180,17 @@ class AnalyzeResult:
         return "\n".join(lines) + "\n"
 
 
+def _lint_each(
+    parsed: Iterable[ParsedFile], linted: List[Tuple[str, List[LintViolation]]]
+) -> Iterator[ParsedFile]:
+    """Pass ``parsed`` through, appending each file's keylint violations
+    to ``linted`` under its path (the report's sort key)."""
+    for record in parsed:
+        found = lint_file(record.path, root=record.root, parsed=record)
+        linted.append((record.path.as_posix(), found))
+        yield record
+
+
 def run_all(
     paths: Optional[Sequence[Path]] = None,
     files: Optional[Sequence[Tuple[Path, Path]]] = None,
@@ -187,12 +202,17 @@ def run_all(
 
     roots = analysis_roots(paths)
     pairs = list(files) if files is not None else discover_files(roots)
-    project = Project.load(roots, files=pairs)
+    parsed: Iterable[ParsedFile] = parse_files(pairs)
+    # keylint lints each tree as the IR build consumes it, so every file
+    # is parsed once and no tree outlives its turn in the stream.
+    linted: List[Tuple[str, List[LintViolation]]] = []
+    if "keylint" in selected:
+        parsed = _lint_each(parsed, linted)
+    project = Project.load(roots, parsed=parsed)
 
     violations: List[LintViolation] = []
-    if "keylint" in selected:
-        for root, file_path in sorted(pairs, key=lambda p: p[1].as_posix()):
-            violations.extend(lint_file(file_path, root=root))
+    for _, found in sorted(linted, key=lambda item: item[0]):
+        violations.extend(found)
 
     reports: Dict[str, object] = {}
     drifts: Dict[str, BaselineDrift] = {}

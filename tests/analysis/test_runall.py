@@ -1,15 +1,29 @@
 """The analyze meta-command: six layers, one IR build, one SARIF."""
 
+import ast
+import gc
 import importlib
 import json
+import random
+import types
+from pathlib import Path
 
 import pytest
 
+from repro.analysis import lint as lint_module
 from repro.analysis import runall
 from repro.analysis.ir import project as ir_project
-from repro.analysis.ir.project import Project
-from repro.analysis.runall import LAYERS, parse_layers, run_all
+from repro.analysis.ir.project import (
+    Project,
+    analysis_roots,
+    discover_files,
+    parse_files,
+)
+from repro.analysis.lint import lint_file, lint_paths
+from repro.analysis.runall import REPRO_ROOT, LAYERS, parse_layers, run_all
 from repro.analysis.sarif import merge_sarif_logs, validate_sarif
+
+LINT_FIXTURES = Path(__file__).parent / "lint_fixtures"
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +93,9 @@ class TestRunAll:
             assert layer in text
 
     def test_single_shared_project_build(self, monkeypatch):
+        """One ``Project.load`` and one ``ast.parse`` per discovered
+        file: keylint lints the IR build's trees, and no layer parses
+        again."""
         calls = []
         original = Project.load.__func__
 
@@ -86,9 +103,82 @@ class TestRunAll:
             calls.append(1)
             return original(cls, *args, **kwargs)
 
+        parsed = []
+        original_parse = ast.parse
+
+        def counting_parse(source, filename="<unknown>", *args, **kwargs):
+            parsed.append(filename)
+            return original_parse(source, filename, *args, **kwargs)
+
         monkeypatch.setattr(Project, "load", classmethod(counting_load))
-        run_all()
+        # ``ir.project`` and ``lint`` both reach ``ast.parse`` through
+        # the one ``ast`` module, and so would any layer.
+        assert ir_project.ast is lint_module.ast is ast
+        monkeypatch.setattr(ast, "parse", counting_parse)
+        result = run_all()
         assert sum(calls) == 1
+        discovered = discover_files(analysis_roots(None))
+        assert len(parsed) == len(discovered) == len(result.files)
+        assert sorted(parsed) == result.files
+
+
+class TestKeylintParity:
+    """keylint over the shared parse reports exactly what ``lint_paths``
+    reports, in the same order, whatever order the files arrive in."""
+
+    @pytest.mark.parametrize(
+        "root,expected_count", [(LINT_FIXTURES, 33), (REPRO_ROOT, 0)],
+        ids=["lint_fixtures", "shipped_tree"],
+    )
+    def test_violations_equal_lint_paths(self, root, expected_count):
+        pairs = discover_files([root])
+        random.Random(f"keylint-parity|{root.name}").shuffle(pairs)
+        result = run_all(paths=[root], files=pairs, layers=["keylint"])
+        expected = lint_paths([root])
+        assert len(expected) == expected_count
+        assert result.violations == expected
+
+    def test_file_listed_twice_is_linted_twice_in_path_order(self):
+        pairs = discover_files([LINT_FIXTURES])
+        twice = next(pair for pair in pairs if pair[1].name == "bad_bn_free.py")
+        pairs.append(twice)
+        random.Random("keylint-parity|twice").shuffle(pairs)
+        result = run_all(paths=[LINT_FIXTURES], files=pairs, layers=["keylint"])
+        expected = [
+            violation
+            for root, file_path in sorted(pairs, key=lambda p: p[1].as_posix())
+            for violation in lint_file(file_path, root=root)
+        ]
+        assert result.violations == expected
+        once = lint_file(twice[1], root=twice[0])
+        assert len(result.violations) == len(lint_paths([LINT_FIXTURES])) + len(
+            once
+        )
+
+
+class TestProjectKeepsNoSource:
+    """A ``Project`` holds function nodes, never a module tree or a
+    file's source text: a whole-snapshot load must not pin every file."""
+
+    def test_no_tree_or_source_reachable_after_load(self):
+        records = list(parse_files(discover_files([LINT_FIXTURES])))
+        project = Project.load([LINT_FIXTURES], parsed=iter(records))
+        held = {id(r.tree) for r in records} | {
+            id(r.source) for r in records if r.source
+        }
+        seen = set()
+        stack = [project]
+        while stack:
+            obj = stack.pop()
+            if id(obj) in seen or isinstance(
+                obj, (type, types.ModuleType, types.FunctionType)
+            ):
+                continue
+            seen.add(id(obj))
+            assert id(obj) not in held, type(obj).__name__
+            assert not isinstance(obj, ast.Module)
+            stack.extend(gc.get_referents(obj))
+        assert len(project.functions) > 0
 
 
 class TestLayerSelection:

@@ -243,7 +243,7 @@ class AddressSpace:
             self.page_table[vpn] = pte
 
         if pte.swapped:
-            self._swap_in(pte)
+            self._swap_in(vma, vpn, pte)
 
         if not pte.present:
             self._anonymous_fault(vma, vpn, pte)
@@ -302,11 +302,14 @@ class AddressSpace:
         pte.cow = False
         pte.writable = True
 
-    def _swap_in(self, pte: Pte) -> None:
+    def _swap_in(self, vma: Vma, vpn: int, pte: Pte) -> None:
+        """``do_swap_page``: read the slot back into a new anonymous
+        frame, anchored in ``vma``'s anon_vma like a fresh fault."""
         assert pte.swap_slot is not None
         content = self.kernel.swap.swap_in(pte.swap_slot)
         frame = self.kernel.buddy.alloc_pages(0, PageFlag.ANON)
         self.kernel.physmem.write_frame(frame, content)
+        self.kernel.buddy.pages[frame].anon_vma = vma.anon_vma
         pte.frame = frame
         pte.swap_slot = None
         self.kernel.clock.charge_disk_read()
@@ -407,7 +410,7 @@ class AddressSpace:
         for vpn, pte in self.page_table.items():
             if pte.swapped:
                 # Keep it simple: bring swapped pages back before sharing.
-                self._swap_in(pte)
+                self._swap_in(self.find_vma(vpn * self.page_size), vpn, pte)
             if not pte.present:
                 continue
             child_pte = Pte()

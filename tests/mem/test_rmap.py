@@ -78,3 +78,27 @@ class TestOwnersOf:
         owners = kernel.rmap.owners_of(kernel.page(frame))
         assert owners == sorted([parent.pid] + [kid.pid for kid in kids])
         assert kernel.page(frame).count == 6
+
+    def test_swapped_in_page_owned_by_process(self):
+        """A page read back from swap is anchored like a fresh fault."""
+        kernel = make_kernel()
+        proc = kernel.create_process("owner")
+        addr = proc.heap.malloc(64)
+        proc.mm.write(addr, b"data")
+        assert kernel.reclaim_pages(10_000) > 0
+        assert proc.mm.translate(addr) is None
+        proc.mm.write(addr, b"more")
+        frame = proc.mm.translate(addr) // kernel.physmem.page_size
+        assert kernel.rmap.owners_of(kernel.page(frame)) == [proc.pid]
+
+    def test_page_swapped_in_by_fork_owned_by_both(self):
+        """fork() brings swapped pages back before sharing them."""
+        kernel = make_kernel()
+        parent = kernel.create_process("parent")
+        addr = parent.heap.malloc(64)
+        parent.mm.write(addr, b"data")
+        assert kernel.reclaim_pages(10_000) > 0
+        child = kernel.fork(parent)
+        frame = parent.mm.translate(addr) // kernel.physmem.page_size
+        owners = kernel.rmap.owners_of(kernel.page(frame))
+        assert owners == sorted([parent.pid, child.pid])

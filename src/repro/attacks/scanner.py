@@ -6,16 +6,22 @@ what kind of allocation) and walks the reverse mapping to name the
 owning processes — exactly the module's ``printOwningProcesses``:
 anonymous pages report the PIDs chaining through the page's anon_vma;
 allocated pages with no anon mapping report PID 0 (the kernel);
-free pages report nobody.
+free pages report nobody.  The owners come from one PTE probe per
+VMA on the page's anon_vma chain, at the vpn the page records
+(:meth:`repro.mem.rmap.ReverseMap.owners_of`).
 
 The scan charges simulated time at the paper's measured rate (about
-5 seconds for 256 MB).
+5 seconds for 256 MB).  A repeated scan can run incrementally: it
+searches only the data the frames written since the last scan hold,
+plus the clean bytes a match may straddle into, and charges for the
+dirty intervals the LKM would re-read.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
+from itertools import compress
+from operator import ne
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.attacks.keysearch import KeyPatternSet
@@ -108,10 +114,12 @@ class MemoryScanner:
     full-memory copy per pass — and can run **incrementally**: the
     scanner caches every prefix occurrence together with a snapshot of
     the per-frame generation counters, and ``scan(incremental=True)``
-    re-searches only the byte ranges around frames whose generation
-    changed (expanded by ``prefix length - 1`` so matches straddling a
-    frame boundary are re-found).  Suppression of overlapping matches
-    and full/partial extents are recomputed from the cached occurrence
+    re-finds only the occurrences around frames whose generation
+    changed (the ranges expanded by ``prefix length - 1`` so matches
+    straddling a frame boundary are re-found), searching only those
+    frames' nonzero granules and the clean bytes beside them
+    (:meth:`_rescan_dirty`).  Suppression of overlapping matches and
+    full/partial extents are recomputed from the cached occurrence
     list, so the incremental report is byte-identical to a full pass.
     """
 
@@ -150,7 +158,7 @@ class MemoryScanner:
         simulated time) shrink to the changed ranges.
         """
         physmem = self.kernel.physmem
-        gens = list(physmem.frame_generations())
+        gens = physmem.frame_generations()
         if incremental and self._cached_gens is not None:
             rescanned = self._rescan_dirty(gens)
         else:
@@ -203,47 +211,146 @@ class MemoryScanner:
         return report
 
     def _rescan_dirty(self, gens: List[int]) -> int:
-        """Re-search only changed ranges; returns the bytes re-scanned."""
+        """Re-find the occurrences around changed frames; returns the
+        dirty-interval byte count.
+
+        The frames whose generation moved are merged into *dirty
+        intervals*, each run expanded ``margin`` bytes (the longest
+        prefix less one) to the left, so a match straddling into a
+        dirty frame is re-found.  Every cached occurrence inside an
+        interval is dropped and the interval searched again.  What is
+        counted (``scanned_bytes``, and the clock charge) is the
+        intervals' length, what the LKM would re-read.  What is
+        searched is less: the interval and the tail a match may run
+        into, minus the all-zero granules of its dirty frames
+        (:meth:`_dirty_cover`), shifted per prefix by its first nonzero
+        index as :func:`~repro.mem.bytesearch.find_all_sparse` does (an
+        all-zero prefix searches the whole interval).  A mostly-empty
+        dirty frame thus costs a few compares and one short ``find``
+        per pattern, and each occurrence list is rebuilt by one merge
+        of the kept and the new offsets.
+        """
         physmem = self.kernel.physmem
         assert self._cached_gens is not None
-        cached = self._cached_gens
-        dirty = [
-            frame
-            for frame, (now, then) in enumerate(zip(gens, cached))
-            if now != then
-        ]
+        marks = bytes(map(ne, gens, self._cached_gens))
+        dirty = list(compress(range(len(marks)), marks))
         if not dirty:
             return 0
-        margin = max(
-            len(self._prefix(pattern)) for _, pattern in self.patterns.items()
-        ) - 1
-        intervals = self._dirty_intervals(dirty, physmem.page_size, margin)
-        for name, pattern in self.patterns.items():
-            prefix = self._prefix(pattern)
-            occurrences = self._occurrences[name]
-            for start, stop in intervals:
-                lo = bisect.bisect_left(occurrences, start)
-                hi = bisect.bisect_left(occurrences, stop)
-                search_end = min(physmem.size, stop + len(prefix) - 1)
-                occurrences[lo:hi] = physmem.find_all(prefix, start, search_end)
+        page = physmem.page_size
+        prefixes = {
+            name: self._prefix(pattern) for name, pattern in self.patterns.items()
+        }
+        margin = max(map(len, prefixes.values())) - 1
+        intervals, covers = self._dirty_cover(
+            dirty, physmem.frame_spans(dirty), page, physmem.size, margin
+        )
+        # A cached occurrence o lies in an interval iff a dirty frame
+        # lies in [o // page, (o + margin) // page].
+        stale = marks.find
+        windows: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
+        for name, prefix in prefixes.items():
+            length = len(prefix)
+            lead = length - len(prefix.lstrip(b"\0"))
+            key = (lead, length)
+            if key not in windows:
+                windows[key] = self._windows(
+                    intervals, covers, lead, length, physmem.size
+                )
+            kept = [
+                offset for offset in self._occurrences[name]
+                if stale(1, offset // page, (offset + margin) // page + 1) < 0
+            ]
+            kept += physmem.find_in_windows(prefix, windows[key])
+            kept.sort()  # two sorted runs: one merge
+            self._occurrences[name] = kept
         return sum(stop - start for start, stop in intervals)
 
     @staticmethod
-    def _dirty_intervals(
-        dirty: List[int], page_size: int, margin: int
-    ) -> List[Tuple[int, int]]:
-        """Merge dirty frames into byte ranges, expanded ``margin``
-        bytes to the left so prefix matches straddling into a dirty
-        frame are re-evaluated."""
+    def _dirty_cover(
+        dirty: List[int],
+        spans: List[Optional[Tuple[int, int]]],
+        page: int,
+        size: int,
+        margin: int,
+    ) -> Tuple[List[Tuple[int, int]], List[List[Tuple[int, int]]]]:
+        """The dirty intervals, and per interval the sorted byte ranges
+        that may hold data.
+
+        An interval ``[start, stop)`` is a run of dirty frames expanded
+        ``margin`` bytes to the left, runs merged where they touch.  Its
+        cover is ``[start, stop + margin)`` (clipped to RAM) minus the
+        bytes each dirty frame's span (``spans``, from
+        :meth:`PhysicalMemory.frame_spans`) shows to be zero: the clean
+        bytes of the left margin, between runs and in the right tail
+        are unknown and stay in."""
         intervals: List[Tuple[int, int]] = []
-        for frame in dirty:
-            start = max(0, frame * page_size - margin)
-            stop = (frame + 1) * page_size
-            if intervals and start <= intervals[-1][1]:
-                intervals[-1] = (intervals[-1][0], max(intervals[-1][1], stop))
+        covers: List[List[Tuple[int, int]]] = []
+        cover: List[Tuple[int, int]] = []
+        start = stop = opened = 0  # opened: start of the open cover range
+        for frame, span in zip(dirty, spans):
+            base = frame * page
+            end = base + page
+            if covers and base - margin <= stop:
+                stop = end
             else:
-                intervals.append((start, stop))
-        return intervals
+                if covers:
+                    intervals.append((start, stop))
+                    cover.append((opened, min(size, stop + margin)))
+                start = opened = max(0, base - margin)
+                stop = end
+                cover = []
+                covers.append(cover)
+            lo, hi = span if span is not None else (end, end)
+            if lo > base:
+                if base > opened:
+                    cover.append((opened, base))
+                opened = lo
+            if hi < end:
+                cover.append((opened, hi))
+                opened = end
+        intervals.append((start, stop))
+        cover.append((opened, min(size, stop + margin)))
+        return intervals, covers
+
+    @staticmethod
+    def _windows(
+        intervals: List[Tuple[int, int]],
+        covers: List[List[Tuple[int, int]]],
+        lead: int,
+        length: int,
+        size: int,
+    ) -> List[Tuple[int, int]]:
+        """Sorted ``find`` windows for a prefix of ``length`` bytes whose
+        first nonzero byte is at index ``lead``.
+
+        An occurrence at ``o`` in interval ``[start, stop)`` puts that
+        byte at ``o + lead`` inside a cover range ``[lo, hi)``, so ``o``
+        lies in ``[lo - lead, hi - lead)`` and the match inside
+        ``[lo - lead, hi - lead - 1 + length)``, clipped to
+        ``[start, stop + length - 1)``.  Windows merge only within one
+        interval: with a margin over half a page the last window of one
+        interval may overlap the first of the next, but each finds only
+        offsets in its own interval, so none is found twice and none
+        between two intervals."""
+        windows: List[Tuple[int, int]] = []
+        tail = length - 1 - lead
+        for (start, stop), cover in zip(intervals, covers):
+            limit = min(size, stop + length - 1)
+            if lead == length:  # all-zero prefix: the whole interval
+                windows.append((start, limit))
+                continue
+            last = -1  # end of this interval's last window
+            for lo, hi in cover:
+                w_lo = lo - lead if lo - lead > start else start
+                w_hi = hi + tail if hi + tail < limit else limit
+                if w_hi - w_lo < length:
+                    continue
+                if w_lo <= last:
+                    windows[-1] = (windows[-1][0], w_hi)
+                else:
+                    windows.append((w_lo, w_hi))
+                last = w_hi
+        return windows
 
     @staticmethod
     def _extent(view, offset: int, pattern: bytes) -> int:

@@ -98,15 +98,6 @@ class Vma:
     def vpns(self) -> Iterator[int]:
         return iter(range(self.start // self.mm.page_size, self.end // self.mm.page_size))
 
-    def maps_frame(self, frame: int) -> bool:
-        """True if any PTE inside this VMA currently maps ``frame``."""
-        table = self.mm.page_table
-        for vpn in self.vpns():
-            pte = table.get(vpn)
-            if pte is not None and pte.frame == frame:
-                return True
-        return False
-
     @property
     def mlocked(self) -> bool:
         return bool(self.flags & VmaFlag.MLOCKED)
@@ -274,6 +265,7 @@ class AddressSpace:
         self.kernel.clock.advance(self.kernel.clock.costs.page_clear_us, "anon_zero")
         page = self.kernel.buddy.pages[frame]
         page.anon_vma = vma.anon_vma
+        page.index = vpn
         if self._is_locked_vpn(vma, vpn):
             page.set_flag(PageFlag.LOCKED)
         pte.frame = frame
@@ -295,6 +287,7 @@ class AddressSpace:
         self.kernel.clock.charge_page_copy()
         new_page = self.kernel.buddy.pages[new_frame]
         new_page.anon_vma = vma.anon_vma
+        new_page.index = vpn
         if self._is_locked_vpn(vma, vpn):
             new_page.set_flag(PageFlag.LOCKED)
         self.kernel.buddy.put_page(frame)
@@ -309,7 +302,9 @@ class AddressSpace:
         content = self.kernel.swap.swap_in(pte.swap_slot)
         frame = self.kernel.buddy.alloc_pages(0, PageFlag.ANON)
         self.kernel.physmem.write_frame(frame, content)
-        self.kernel.buddy.pages[frame].anon_vma = vma.anon_vma
+        page = self.kernel.buddy.pages[frame]
+        page.anon_vma = vma.anon_vma
+        page.index = vpn
         pte.frame = frame
         pte.swap_slot = None
         self.kernel.clock.charge_disk_read()

@@ -25,12 +25,16 @@ the paper's timing:
   galloping C-speed compares (live RAM updates its cover per written
   frame instead), and :func:`find_all_sparse` probes each pattern only
   inside windows that can contain a match: one cover per scan.
+  :func:`nonzero_spans` bounds the data of each written frame for the
+  incremental scanner, and :func:`find_in_windows` searches any such
+  window list in one bound ``find`` loop.
 """
 
 from __future__ import annotations
 
+import functools
 import re
-from typing import List, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 Buffer = Union[bytes, bytearray, memoryview]
 
@@ -44,6 +48,9 @@ _MAX_GALLOP = 1 << 20
 #: Bytes :func:`_zero_run_end` probes with one ``lstrip`` before it
 #: starts to gallop: most runs between tainted bytes are short.
 _PROBE = 256
+
+#: Granule of :func:`nonzero_spans`' bounds (bytes).
+SPAN_BLOCK = 64
 
 #: All-zero reference blocks by size, for the galloping compares.
 #: ``bytes.startswith``/``__eq__`` are memcmp; ``memoryview.__eq__``
@@ -266,7 +273,89 @@ def find_all_sparse(
             windows[-1] = (windows[-1][0], max(windows[-1][1], w_hi))
         else:
             windows.append((w_lo, w_hi))
+    return find_in_windows(haystack, needle, windows)
+
+
+def find_in_windows(
+    haystack: Buffer, needle: bytes, windows: Sequence[Tuple[int, int]]
+) -> List[int]:
+    """The occurrences of ``needle`` lying entirely inside each of
+    ``windows``, window by window: :func:`find_all_occurrences` per
+    window, run as one bound ``find`` loop."""
+    if not needle:
+        raise ValueError("empty search pattern")
+    data, via_regex = _searchable(haystack)
+    if via_regex:
+        return [
+            hit for w_lo, w_hi in windows
+            for hit in _find_in_view(data, needle, w_lo, w_hi)
+        ]
     hits: List[int] = []
+    append, find = hits.append, data.find
     for w_lo, w_hi in windows:
-        hits.extend(find_all_occurrences(haystack, needle, w_lo, w_hi))
+        pos = find(needle, w_lo, w_hi)
+        while pos != -1:
+            append(pos)
+            pos = find(needle, pos + 1, w_hi)
     return hits
+
+
+@functools.lru_cache(maxsize=8)
+def _zero_blocks(block: int, count: int) -> Tuple[bytes, ...]:
+    """All-zero blocks of ``0 .. count`` granules of ``block`` bytes."""
+    return tuple(bytes(k * block) for k in range(count + 1))
+
+
+def _zero_granules(
+    probe, zeros: Tuple[bytes, ...], args: tuple, known: int, bad: int
+) -> int:
+    """Binary search for the most granules ``probe(zeros[k], *args)``
+    accepts, given that it accepts ``known`` and rejects ``bad``."""
+    while bad - known > 1:
+        mid = (known + bad) >> 1
+        if probe(zeros[mid], *args):
+            known = mid
+        else:
+            bad = mid
+    return known
+
+
+def nonzero_spans(
+    data: Union[bytes, bytearray],
+    starts: Iterable[int],
+    length: int,
+    block: int = SPAN_BLOCK,
+) -> List[Optional[Tuple[int, int]]]:
+    """Per range ``[start, start + length)``, a ``[lo, hi)`` inside it
+    holding every nonzero byte of it, to ``block`` bytes (None if the
+    range is all zero).
+
+    ``length`` must be a positive multiple of ``block``.  Every probe is
+    one in-place ``startswith``/``endswith`` of a cached zero block
+    (memcmp): two for an empty range, three for data in the first
+    granule and none after it, and a binary search over granules on
+    each side otherwise.  ``lstrip``/``rstrip`` cost a ``memchr`` per
+    byte, about ten times more on a mostly-empty page.
+    """
+    count = length // block
+    zeros = _zero_blocks(block, count)
+    empty, first = zeros[count], zeros[1]
+    leads, trails = data.startswith, data.endswith
+    spans: List[Optional[Tuple[int, int]]] = []
+    for start in starts:
+        end = start + length
+        lo = start
+        if leads(first, start):
+            if leads(empty, start):
+                spans.append(None)
+                continue
+            lo += block * _zero_granules(leads, zeros, (start,), 1, count)
+        top = (end - lo) // block - 1  # granules after lo's, which has data
+        if top <= 0 or not trails(first, start, end):
+            spans.append((lo, end))
+        elif trails(zeros[top], start, end):
+            spans.append((lo, lo + block))
+        else:
+            trailing = _zero_granules(trails, zeros, (start, end), 1, top)
+            spans.append((lo, end - block * trailing))
+    return spans

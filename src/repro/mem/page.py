@@ -7,7 +7,9 @@ the paper's tooling depends on:
   ``fork()`` shows up as ``count > 1``; the paper's ``memory.c`` patch
   clears a page on unmap only when ``page_count(page) == 1``.
 * ``anon_vma`` — the reverse-mapping anchor the ``scanmemory`` module
-  walks to print owning PIDs.
+  walks to print owning PIDs, and ``index`` — the virtual page number
+  the frame is mapped at (Linux's ``page->index``), so the walk probes
+  one PTE per chained VMA.
 * ``flags`` — LOCKED (mlocked, never swapped), PAGECACHE (holds file
   data such as the PEM-encoded key), RESERVED (kernel text/data).
 """
@@ -44,7 +46,7 @@ class PageFlag(enum.Flag):
 class Page:
     """Per-frame descriptor.  One exists for every physical frame."""
 
-    __slots__ = ("frame", "count", "flags", "anon_vma", "mapping", "order")
+    __slots__ = ("frame", "count", "flags", "anon_vma", "index", "mapping", "order")
 
     def __init__(self, frame: int) -> None:
         self.frame = frame
@@ -53,6 +55,9 @@ class Page:
         self.flags = PageFlag.NONE
         #: Reverse-mapping anchor for anonymous pages (or None).
         self.anon_vma: Optional["AnonVma"] = None
+        #: Virtual page number of an anonymous page, set together with
+        #: ``anon_vma`` (meaningless while that is None).
+        self.index = 0
         #: ``(file_id, page_index)`` for page-cache pages (or None).
         self.mapping: Optional[Tuple[int, int]] = None
         #: Buddy order this frame was allocated at (head frame only).

@@ -16,10 +16,17 @@ from __future__ import annotations
 
 from itertools import compress
 from operator import ne
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import BadAddressError
-from repro.mem.bytesearch import ZERO_GAP, find_all_occurrences, find_all_sparse
+from repro.mem.bytesearch import (
+    SPAN_BLOCK,
+    ZERO_GAP,
+    find_all_occurrences,
+    find_all_sparse,
+    find_in_windows,
+    nonzero_spans,
+)
 
 #: Page size in bytes.  Matches the x86 kernel the paper patched.
 PAGE_SIZE = 4096
@@ -219,6 +226,25 @@ class PhysicalMemory:
         then byte-identical to a full :meth:`find_all` pass.
         """
         return find_all_sparse(self._data, pattern, intervals)
+
+    def find_in_windows(
+        self, pattern: bytes, windows: Sequence[Tuple[int, int]]
+    ) -> List[int]:
+        """The occurrences of ``pattern`` lying entirely inside each of
+        the byte ``windows``, window by window."""
+        return find_in_windows(self._data, pattern, windows)
+
+    def frame_spans(
+        self, frames: Sequence[int]
+    ) -> List[Optional[Tuple[int, int]]]:
+        """Per frame, a ``[lo, hi)`` byte range holding all its data
+        (None for an all-zero frame), to 64-byte granules: the cover of
+        a few written frames, read in place."""
+        size = self.page_size
+        return nonzero_spans(
+            self._data, [frame * size for frame in frames], size,
+            min(SPAN_BLOCK, size),
+        )
 
     def iter_frames(self) -> Iterator[Tuple[int, bytes]]:
         """Yield ``(frame_number, content)`` for every frame."""

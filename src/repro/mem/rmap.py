@@ -60,16 +60,27 @@ class ReverseMap:
 
         Mirrors the module's logic: walk the page's anon_vma chain for
         the VMAs that map the frame, then walk the process list once,
-        comparing ``mm`` pointers against theirs.  Returns ``[0]`` (the
-        kernel) for allocated pages with no anon_vma, and ``[]`` for
-        free pages.
+        comparing ``mm`` pointers against theirs.  An anonymous page
+        sits at one virtual page number in every address space that
+        maps it (fork copies page tables in place), recorded in
+        ``page.index`` like Linux's ``page->index``; so each chained VMA
+        costs one PTE probe at that vpn, as ``page_address_in_vma``
+        does, instead of a walk over its whole range.  Returns ``[0]``
+        (the kernel) for allocated pages with no anon_vma, and ``[]``
+        for free pages.
         """
         if page.anon_vma is not None:
-            mms = {
-                id(vma.mm)
-                for vma in page.anon_vma.vmas
-                if vma.maps_frame(page.frame)
-            }
+            vpn, frame = page.index, page.frame
+            mms = set()
+            for vma in page.anon_vma.vmas:
+                mm = vma.mm
+                pte = mm.page_table.get(vpn)
+                if (
+                    pte is not None
+                    and pte.frame == frame
+                    and vma.start <= vpn * mm.page_size < vma.end
+                ):
+                    mms.add(id(mm))
             if not mms:
                 return []
             return sorted({

@@ -16,9 +16,10 @@ spec.loader.exec_module(ledger)
 
 STATIC_ROWS = ["keylint", "keyflow+keyrecon", "keystate", "keycount",
                "keyspan", "analyze"]
-HOT_LOOPS = ["scan_256mb_full", "scan_apache_pool_16mb", "shadow_census_256mb",
-             "taint_audit_16mb", "serve_sessions_16mb", "taint_sessions_16mb",
-             "keygen_cold_1024", "hardware_sessions_16mb", "age_memory_32mb"]
+HOT_LOOPS = ["scan_256mb_full", "scan_apache_pool_16mb", "scan_incremental_16mb",
+             "shadow_census_256mb", "taint_audit_16mb", "serve_sessions_16mb",
+             "taint_sessions_16mb", "keygen_cold_1024", "hardware_sessions_16mb",
+             "age_memory_32mb"]
 
 
 def row(name, best):
@@ -103,6 +104,14 @@ class TestHotLoops:
         assert emitted["sessions"] == 2
         assert "events_matched" not in emitted
 
+    def test_scan_incremental_row_rescans_only_what_changed(self):
+        """Each timed scan re-searches the frames the sessions wrote,
+        a small part of the 16 MB machine."""
+        emitted = ledger.HOT_LOOPS["scan_incremental_16mb"](1, 2)
+        assert emitted["best_seconds"] > 0
+        assert emitted["scans"] == 2
+        assert 0 < emitted["scanned_bytes"] < 2 * 16 * 1024 * 1024 // 10
+        assert emitted["matches"] > 0
 
     def test_hardware_sessions_row_runs_in_the_vault(self):
         """Every request's private operation is a key-vault operation."""
@@ -113,7 +122,7 @@ class TestHotLoops:
 
 class TestCommittedBaseline:
     def test_baseline_covers_every_layer(self):
-        """Six static rows, then the nine hot loops, all in one list."""
+        """Six static rows, then the ten hot loops, all in one list."""
         rows = committed_ledger()["rows"]
         assert [r["name"] for r in rows] == STATIC_ROWS + HOT_LOOPS
         assert list(ledger.STATIC_ROWS) + list(ledger.HOT_LOOPS) == (

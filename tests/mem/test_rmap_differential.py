@@ -1,0 +1,168 @@
+"""Page-index owners equal the full VMA walk, frame for frame.
+
+``ReverseMap.owners_of`` probes one PTE per chained VMA, at the page's
+``index`` (its vpn).  The reference below is the walk it replaced: each
+chained VMA is asked whether *any* PTE in its range maps the frame.
+Random schedules of fork, COW breaks, munmap, exit, reclaim and swap-in
+run on a server machine at every protection level, and after each step
+every allocated frame must report the same owners both ways.
+"""
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.core.protection import ProtectionLevel
+from repro.core.simulation import Simulation, SimulationConfig
+
+
+def _maps_frame(vma, frame):
+    """True if any PTE inside ``vma`` maps ``frame`` (the old walk)."""
+    table = vma.mm.page_table
+    for vpn in vma.vpns():
+        pte = table.get(vpn)
+        if pte is not None and pte.frame == frame:
+            return True
+    return False
+
+
+def _reference_owners(kernel, page):
+    if page.anon_vma is not None:
+        mms = {
+            id(vma.mm) for vma in page.anon_vma.vmas
+            if _maps_frame(vma, page.frame)
+        }
+        if not mms:
+            return []
+        return sorted({
+            process.pid for process in kernel.processes()
+            if id(process.mm) in mms
+        })
+    if page.count > 0 or page.reserved:
+        return [0]
+    return []
+
+
+def _assert_owners_agree(kernel):
+    for frame in range(kernel.physmem.num_frames):
+        page = kernel.page(frame)
+        if page.allocated:
+            assert kernel.rmap.owners_of(page) == _reference_owners(kernel, page), (
+                f"frame {frame}"
+            )
+
+
+#: One schedule step: an operation and a token choosing its target.
+_STEPS = st.lists(
+    st.tuples(
+        st.sampled_from(
+            ["spawn", "fork", "cow", "mmap", "munmap", "exit", "reclaim",
+             "swapin", "serve"]
+        ),
+        st.integers(0, 2 ** 16),
+    ),
+    min_size=4,
+    max_size=12,
+)
+
+PAGE = 4096
+
+
+class Schedule:
+    """User processes beside the server, each with the addresses it wrote."""
+
+    def __init__(self, sim):
+        self.sim = sim
+        self.kernel = sim.kernel
+        #: pid -> (process, heap addresses, extra VMAs)
+        self.procs = {}
+
+    def _pick(self, token):
+        if not self.procs:
+            return None
+        pids = sorted(self.procs)
+        return self.procs[pids[token % len(pids)]]
+
+    def step(self, op, token):
+        kernel = self.kernel
+        entry = self._pick(token)
+        if op == "spawn" or entry is None:
+            proc = kernel.create_process(f"user{token}")
+            addrs = []
+            for index in range(1 + token % 4):
+                addr = proc.heap.malloc(PAGE)
+                proc.mm.write(addr, bytes([1 + index]) * 64)
+                addrs.append(addr)
+            self.procs[proc.pid] = (proc, addrs, [])
+        elif op == "fork":
+            proc, addrs, vmas = entry
+            child = kernel.fork(proc)
+            child_vmas = [
+                vma for vma in child.mm.vmas
+                if any(vma.start == parent.start for parent in vmas)
+            ]
+            self.procs[child.pid] = (child, list(addrs), child_vmas)
+        elif op == "cow":
+            proc, addrs, _ = entry
+            addr = addrs[token % len(addrs)]
+            proc.mm.write(addr + 8, token.to_bytes(4, "little"))
+        elif op == "mmap":
+            proc, _, vmas = entry
+            vma = proc.mm.mmap_anon(PAGE * (1 + token % 3))
+            for offset in range(0, vma.end - vma.start, PAGE):
+                proc.mm.write(vma.start + offset, b"\x5a" * 32)
+            vmas.append(vma)
+        elif op == "munmap":
+            proc, _, vmas = entry
+            if vmas:
+                proc.mm.munmap(vmas.pop(token % len(vmas)))
+        elif op == "exit":
+            proc, _, _ = entry
+            kernel.exit_process(proc)
+            del self.procs[proc.pid]
+        elif op == "reclaim":
+            kernel.reclaim_pages(1 + token % 64)
+        elif op == "swapin":
+            proc, addrs, _ = entry
+            for addr in addrs:
+                proc.mm.read(addr, 16)
+        elif op == "serve":
+            self.sim.cycle_connections(1 + token % 2)
+
+
+@pytest.mark.parametrize("level", list(ProtectionLevel), ids=lambda lv: lv.value)
+@settings(
+    max_examples=10,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(seed=st.integers(0, 2 ** 16), steps=_STEPS)
+def test_page_index_owners_equal_vma_walk(level, seed, steps):
+    sim = Simulation(
+        SimulationConfig(level=level, memory_mb=4, key_bits=256, seed=seed)
+    )
+    sim.start_server()
+    schedule = Schedule(sim)
+    _assert_owners_agree(sim.kernel)
+    for op, token in steps:
+        schedule.step(op, token)
+        _assert_owners_agree(sim.kernel)
+
+
+def test_swapped_in_frames_are_compared():
+    """The schedules reach swapped-in anonymous pages (not only fresh
+    faults and COW copies)."""
+    sim = Simulation(SimulationConfig(memory_mb=4, key_bits=256, seed=1))
+    sim.start_server()
+    schedule = Schedule(sim)
+    schedule.step("spawn", 3)
+    proc, addrs, _ = next(iter(schedule.procs.values()))
+    sim.kernel.reclaim_pages(10_000)
+    assert all(proc.mm.translate(addr) is None for addr in addrs)
+    schedule.step("swapin", 0)
+    for addr in addrs:
+        page = sim.kernel.page(proc.mm.translate(addr) // PAGE)
+        assert page.anon_vma is not None
+        assert sim.kernel.rmap.owners_of(page) == [proc.pid]
+    _assert_owners_agree(sim.kernel)

@@ -17,11 +17,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.mem.bytesearch import (
+    SPAN_BLOCK,
     ZERO_GAP,
     find_all_occurrences,
     find_all_sparse,
+    find_in_windows,
     first_nonzero,
     nonzero_intervals,
+    nonzero_spans,
 )
 
 
@@ -166,6 +169,78 @@ class TestSparseEqualsFull:
         hits = find_all_sparse(buf, b"\xab" * 8, nonzero_intervals(buf))
         assert hits == find_all_occurrences(buf, b"\xab" * 8)
         assert len(hits) == 33  # 40 - 8 + 1 overlapping offsets
+
+
+class TestNonzeroSpans:
+    """Each range's span holds all its data, to one granule."""
+
+    @staticmethod
+    def _check(buf, start, length, block, span):
+        data = buf[start : start + length]
+        if not any(data):
+            assert span is None
+            return
+        lo, hi = span
+        first = next(i for i, b in enumerate(data) if b)
+        last = max(i for i, b in enumerate(data) if b)
+        # lo is the start of the first granule with data, hi the end
+        # of the last one.
+        assert lo == start + first // block * block
+        assert hi == start + (last // block + 1) * block
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        pages=st.lists(
+            st.lists(st.tuples(st.integers(0, 4095), st.integers(1, 255)),
+                     max_size=6),
+            min_size=1, max_size=4,
+        ),
+        block=st.sampled_from([SPAN_BLOCK, 16, 4096]),
+    )
+    def test_spans_bound_every_nonzero_byte(self, pages, block):
+        buf = bytearray(4096 * (len(pages) + 1))
+        for index, writes in enumerate(pages):
+            for offset, value in writes:
+                buf[4096 * (index + 1) + offset] = value
+        starts = [4096 * (index + 1) for index in range(len(pages))]
+        spans = nonzero_spans(buf, starts, 4096, block)
+        for start, span in zip(starts, spans):
+            self._check(buf, start, 4096, block, span)
+
+    @pytest.mark.parametrize("offset", [0, 63, 64, 127, 2047, 2048, 4032, 4095])
+    def test_lone_byte_at_granule_edges(self, offset):
+        buf = bytearray(3 * 4096)
+        buf[4096 + offset] = 1
+        (span,) = nonzero_spans(buf, [4096], 4096)
+        self._check(buf, 4096, 4096, SPAN_BLOCK, span)
+
+    def test_bytes_and_bytearray_agree(self):
+        buf = bytearray(2 * 4096)
+        buf[4096 + 100 : 4096 + 140] = b"\x11" * 40
+        buf[4096 + 3000] = 2
+        assert nonzero_spans(bytes(buf), [0, 4096], 4096) == \
+            nonzero_spans(buf, [0, 4096], 4096) == [None, (4096 + 64, 4096 + 3008)]
+
+
+class TestFindInWindows:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(haystack=_haystacks(), data=st.data())
+    def test_equals_a_search_per_window(self, haystack, data):
+        cuts = sorted(data.draw(st.lists(
+            st.integers(0, len(haystack)), max_size=8, unique=True)))
+        windows = list(zip(cuts[::2], cuts[1::2]))
+        needle = data.draw(st.binary(min_size=1, max_size=4))
+        expected = [hit for lo, hi in windows
+                    for hit in find_all_occurrences(haystack, needle, lo, hi)]
+        assert find_in_windows(haystack, needle, windows) == expected
+        view = memoryview(haystack)[1:]  # searched through the regex path
+        expected = [hit for lo, hi in windows
+                    for hit in find_all_occurrences(view, needle, lo, hi)]
+        assert find_in_windows(view, needle, windows) == expected
+
+    def test_empty_needle_is_rejected(self):
+        with pytest.raises(ValueError):
+            find_in_windows(b"abc", b"", [(0, 3)])
 
 
 class TestNoCopyRegression:

@@ -13,7 +13,8 @@ the trajectory tooling reads every ``BENCH_*.json``).  It holds a flat
   regression show in one diff.
 * **Hot loops.**  The loops the sweep and the taint audits spend their
   time in: the 256 MB sparse memory scan, a full scan of an apache
-  worker pool's many key copies, the KeySan shadow census,
+  worker pool's many key copies, incremental scans between scp
+  sessions, the KeySan shadow census,
   one KeySan audit of a 16 MB machine, 100 scp sessions without and
   with KeySan's write hook, cold per-run keygen (beside the warm
   corpus hit), 100 apache requests served by the key vault, and boot
@@ -234,6 +235,32 @@ def _taint_audit_16mb(repeat: int) -> dict:
     }
 
 
+def _scan_incremental_16mb(repeat: int, scans: int = 20) -> dict:
+    """Incremental scans of a 16 MB openssh/none machine holding 20
+    connections, with 20 scp sessions before each (e2ebench ``serve``'s
+    read interval); only the scans are timed, summed per machine."""
+    def run():
+        sim = _machine(taint=False)
+        sim.server.set_concurrency(20)
+        sim.scan(incremental=True)  # primes the cache
+        elapsed, scanned = 0.0, 0
+        for index in range(scans * 20):
+            sim.server.run_connection_cycle(
+                SCP_FILE_SIZES[index % len(SCP_FILE_SIZES)]
+            )
+            if index % 20 == 19:
+                start = time.perf_counter()
+                report = sim.scan(incremental=True)
+                elapsed += time.perf_counter() - start
+                scanned += report.scanned_bytes
+        return elapsed, scanned, report.total
+
+    runs = [run() for _ in range(repeat)]
+    return {"best_seconds": min(elapsed for elapsed, _, _ in runs),
+            "scans": scans, "scanned_bytes": runs[-1][1],
+            "matches": runs[-1][2]}
+
+
 def _best_on_fresh(boot, work, repeat: int):
     """Best wall time of ``work(machine)`` over ``repeat`` machines, each
     from ``boot()`` outside the timed region, so each times the same
@@ -313,6 +340,7 @@ def _keygen_cold(repeat: int) -> dict:
 HOT_LOOPS = {
     "scan_256mb_full": _scan_256mb_full,
     "scan_apache_pool_16mb": _scan_apache_pool_16mb,
+    "scan_incremental_16mb": _scan_incremental_16mb,
     "shadow_census_256mb": _shadow_census_256mb,
     "taint_audit_16mb": _taint_audit_16mb,
     "serve_sessions_16mb": functools.partial(_sessions_16mb, False),

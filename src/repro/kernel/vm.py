@@ -297,7 +297,8 @@ class AddressSpace:
 
     def _swap_in(self, vma: Vma, vpn: int, pte: Pte) -> None:
         """``do_swap_page``: read the slot back into a new anonymous
-        frame, anchored in ``vma``'s anon_vma like a fresh fault."""
+        frame, anchored in ``vma``'s anon_vma and locked under
+        ``mlock`` like a fresh fault."""
         assert pte.swap_slot is not None
         content = self.kernel.swap.swap_in(pte.swap_slot)
         frame = self.kernel.buddy.alloc_pages(0, PageFlag.ANON)
@@ -305,6 +306,8 @@ class AddressSpace:
         page = self.kernel.buddy.pages[frame]
         page.anon_vma = vma.anon_vma
         page.index = vpn
+        if self._is_locked_vpn(vma, vpn):
+            page.set_flag(PageFlag.LOCKED)
         pte.frame = frame
         pte.swap_slot = None
         self.kernel.clock.charge_disk_read()

@@ -3,9 +3,11 @@
 ``ReverseMap.owners_of`` probes one PTE per chained VMA, at the page's
 ``index`` (its vpn).  The reference below is the walk it replaced: each
 chained VMA is asked whether *any* PTE in its range maps the frame.
-Random schedules of fork, COW breaks, munmap, exit, reclaim and swap-in
-run on a server machine at every protection level, and after each step
-every allocated frame must report the same owners both ways.
+Random schedules of fork, COW breaks, munmap, exit, reclaim, eviction
+of one process, swap-in, ``mlock`` and ``munlock`` run on a server machine at every protection
+level, and after each step every allocated frame must report the same
+owners both ways, and every present page at a locked vpn must carry
+``LOCKED`` (a page swapped out when ``mlock`` runs comes back locked).
 """
 
 import pytest
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 
 from repro.core.protection import ProtectionLevel
 from repro.core.simulation import Simulation, SimulationConfig
+from repro.errors import SwapError
 
 
 def _maps_frame(vma, frame):
@@ -43,6 +46,19 @@ def _reference_owners(kernel, page):
     return []
 
 
+def _assert_locked_vpns_pinned(kernel):
+    for process in kernel.processes():
+        mm = process.mm
+        for vpn, pte in mm.page_table.items():
+            if not pte.present:
+                continue
+            vma = mm.find_vma(vpn * mm.page_size)
+            if vpn in mm.locked_vpns or (vma is not None and vma.mlocked):
+                assert kernel.page(pte.frame).locked, (
+                    f"pid {process.pid} vpn {vpn:#x} frame {pte.frame}"
+                )
+
+
 def _assert_owners_agree(kernel):
     for frame in range(kernel.physmem.num_frames):
         page = kernel.page(frame)
@@ -57,7 +73,7 @@ _STEPS = st.lists(
     st.tuples(
         st.sampled_from(
             ["spawn", "fork", "cow", "mmap", "munmap", "exit", "reclaim",
-             "swapin", "serve"]
+             "evict", "swapin", "serve", "mlock", "munlock"]
         ),
         st.integers(0, 2 ** 16),
     ),
@@ -122,12 +138,27 @@ class Schedule:
             del self.procs[proc.pid]
         elif op == "reclaim":
             kernel.reclaim_pages(1 + token % 64)
+        elif op == "evict":
+            # Reclaim walks processes in pid order, so small targets
+            # rarely reach past the server: swap out one process.
+            proc, _, _ = entry
+            try:
+                for vpn, _pte in list(proc.mm.swap_out_candidates()):
+                    proc.mm.swap_out(vpn)
+            except SwapError:
+                pass
         elif op == "swapin":
             proc, addrs, _ = entry
             for addr in addrs:
                 proc.mm.read(addr, 16)
         elif op == "serve":
             self.sim.cycle_connections(1 + token % 2)
+        elif op == "mlock":
+            proc, addrs, _ = entry
+            proc.mm.mlock(addrs[token % len(addrs)], PAGE)
+        elif op == "munlock":
+            proc, addrs, _ = entry
+            proc.mm.munlock(addrs[token % len(addrs)], PAGE)
 
 
 @pytest.mark.parametrize("level", list(ProtectionLevel), ids=lambda lv: lv.value)
@@ -145,9 +176,11 @@ def test_page_index_owners_equal_vma_walk(level, seed, steps):
     sim.start_server()
     schedule = Schedule(sim)
     _assert_owners_agree(sim.kernel)
+    _assert_locked_vpns_pinned(sim.kernel)
     for op, token in steps:
         schedule.step(op, token)
         _assert_owners_agree(sim.kernel)
+        _assert_locked_vpns_pinned(sim.kernel)
 
 
 def test_swapped_in_frames_are_compared():

@@ -15,6 +15,11 @@ the indexes the dataflow engine needs:
 * ``attr_readers`` — attribute name -> functions that load it
   (re-analysis targets when the field becomes tainted).
 
+Each :class:`FunctionInfo` also carries the function's call facts
+(``terminals``, ``deep_terminals``, ``attrs_read``, ``call_targets``),
+gathered in the one pass over each module that finds the defs, so no
+layer walks a function's tree to learn what it calls.
+
 Call resolution is *name-based and deliberately coarse*: a call may
 resolve to several candidate functions, and analysis facts flow into
 all of them.  Coarseness costs precision, never soundness — the
@@ -54,6 +59,13 @@ class FunctionInfo:
     attrs_read: frozenset = frozenset()
     #: id(ast.Call) -> candidate callee full names.
     call_targets: Dict[int, Tuple[str, ...]] = field(default_factory=dict)
+    #: Terminal names of the function's own calls: those in the nodes
+    #: :func:`iter_own_nodes` yields.
+    terminals: frozenset = frozenset()
+    #: Terminal names of every call under the def node, as ``ast.walk``
+    #: finds them: nested defs and class bodies included, and the def's
+    #: own decorators, defaults and annotations.
+    deep_terminals: frozenset = frozenset()
 
 
 def _param_names(node) -> Tuple[str, ...]:
@@ -75,44 +87,137 @@ def call_terminal(node: ast.Call) -> Optional[str]:
     return None
 
 
-class _FunctionCollector(ast.NodeVisitor):
+class _OwnFacts:
+    """What one def's walk finds: its own calls, terminals and loaded
+    attributes, and the terminals of every call under its node."""
+
+    __slots__ = ("calls", "terminals", "attrs", "deep")
+
+    def __init__(self) -> None:
+        self.calls: List[ast.Call] = []
+        self.terminals: Set[Optional[str]] = set()
+        self.attrs: Set[str] = set()
+        self.deep: Set[Optional[str]] = set()
+
+
+class _FunctionCollector:
     """Collect every def (sync/async, nested, methods) with qualnames
-    matching ``co_qualname`` (``Cls.meth``, ``outer.<locals>.inner``)."""
+    matching ``co_qualname`` (``Cls.meth``, ``outer.<locals>.inner``),
+    and each def's call and attribute facts, in one pass over a module.
+
+    A node's *owners* are the defs whose :func:`iter_own_nodes` yields
+    it; it lies under every def around it (what ``ast.walk`` of each
+    yields).  Defs are found in source pre-order, as
+    ``ast.NodeVisitor`` visits them."""
 
     def __init__(self, module: str, rel_path: str) -> None:
         self.module = module
         self.rel_path = rel_path
-        self.stack: List[str] = []
-        self.found: List[FunctionInfo] = []
+        #: Each def with its own ``ast.Call`` nodes, left for
+        #: :class:`Project` to resolve once every file is loaded.
+        self.found: List[Tuple[FunctionInfo, List[ast.Call]]] = []
+        #: AST node type -> its ``_fields`` in reverse, ``ctx`` left out.
+        self._child_fields: Dict[type, Tuple[str, ...]] = {}
 
-    def _qual(self, name: str) -> str:
-        return ".".join(self.stack + [name]) if self.stack else name
+    def collect(self, tree: ast.Module) -> None:
+        self._walk(tree.body, "", (), None, ())
 
-    def visit_ClassDef(self, node: ast.ClassDef) -> None:
-        self.stack.append(node.name)
-        self.generic_visit(node)
-        self.stack.pop()
+    def _walk(
+        self,
+        roots: Iterable[ast.AST],
+        prefix: str,
+        owners: Tuple[_OwnFacts, ...],
+        body_of: Optional[_OwnFacts],
+        enclosing: Tuple[_OwnFacts, ...],
+    ) -> None:
+        """Visit ``roots`` and everything under them but nested defs and
+        classes, which start walks of their own.  ``owners`` own the
+        nodes visited; ``body_of`` is the def whose body ``roots`` is
+        (it owns a def or class that is one of ``roots`` as well);
+        ``enclosing`` is every def around ``roots``."""
+        child_fields = self._child_fields
+        for root in roots:
+            stack = [root]
+            while stack:
+                node = stack.pop()
+                kind = type(node)
+                if kind is ast.FunctionDef or kind is ast.AsyncFunctionDef:
+                    self._visit_def(
+                        node, prefix, body_of if node is root else None, enclosing
+                    )
+                    continue
+                if kind is ast.ClassDef:
+                    inherited = (
+                        (body_of,) if node is root and body_of is not None else ()
+                    )
+                    self._walk(
+                        ast.iter_child_nodes(node), f"{prefix}{node.name}.",
+                        inherited, None, enclosing,
+                    )
+                    continue
+                if kind is ast.Call:
+                    terminal = call_terminal(node)
+                    for facts in owners:
+                        facts.calls.append(node)
+                        facts.terminals.add(terminal)
+                    for facts in enclosing:
+                        facts.deep.add(terminal)
+                elif kind is ast.Attribute and type(node.ctx) is ast.Load:
+                    for facts in owners:
+                        facts.attrs.add(node.attr)
+                # ``ast.iter_child_nodes``, inlined and pushed in reverse
+                # so that defs pop in source order; ``ctx`` leaves skipped.
+                fields = child_fields.get(kind)
+                if fields is None:
+                    fields = child_fields[kind] = tuple(
+                        name for name in reversed(kind._fields) if name != "ctx"
+                    )
+                for name in fields:
+                    value = getattr(node, name, None)
+                    if type(value) is list:
+                        for item in reversed(value):
+                            if isinstance(item, ast.AST):
+                                stack.append(item)
+                    elif isinstance(value, ast.AST):
+                        stack.append(value)
 
-    def _visit_def(self, node) -> None:
-        qual = self._qual(node.name)
-        self.found.append(
-            FunctionInfo(
-                full_name=f"{self.module}.{qual}",
-                module=self.module,
-                qualname=qual,
-                rel_path=self.rel_path,
-                node=node,
-                params=_param_names(node),
-            )
+    def _visit_def(
+        self,
+        node,
+        prefix: str,
+        body_of: Optional[_OwnFacts],
+        enclosing: Tuple[_OwnFacts, ...],
+    ) -> None:
+        qual = prefix + node.name
+        info = FunctionInfo(
+            full_name=f"{self.module}.{qual}",
+            module=self.module,
+            qualname=qual,
+            rel_path=self.rel_path,
+            node=node,
+            params=_param_names(node),
         )
-        self.stack.extend([node.name, "<locals>"])
-        for child in node.body:
-            self.visit(child)
-        self.stack.pop()
-        self.stack.pop()
-
-    visit_FunctionDef = _visit_def
-    visit_AsyncFunctionDef = _visit_def
+        facts = _OwnFacts()
+        self.found.append((info, facts.calls))
+        inherited = (body_of,) if body_of is not None else ()
+        enclosing = enclosing + (facts,)
+        # Decorators, defaults and annotations lie under this def for
+        # ``ast.walk``; only ``body_of``'s own-node walk reaches them.
+        header = [
+            child for child in ast.iter_child_nodes(node) if child not in node.body
+        ]
+        self._walk(header, prefix, inherited, None, enclosing)
+        self._walk(
+            node.body, f"{qual}.<locals>.", inherited + (facts,), facts, enclosing
+        )
+        facts.terminals.discard(None)
+        facts.deep.discard(None)
+        info.terminals = frozenset(facts.terminals)
+        # Most defs hold no nested def or header call: share the set.
+        info.deep_terminals = (
+            info.terminals if facts.deep == facts.terminals else frozenset(facts.deep)
+        )
+        info.attrs_read = frozenset(facts.attrs)
 
 
 def _own_statements(func_node) -> List[ast.stmt]:
@@ -122,8 +227,11 @@ def _own_statements(func_node) -> List[ast.stmt]:
 
 
 def iter_own_nodes(func_node) -> Iterable[ast.AST]:
-    """Walk a function's AST without descending into nested defs or
-    classes (lambdas *are* descended into: they share the scope)."""
+    """Walk a function's body without descending into nested defs or
+    classes (lambdas *are* descended into: they share the scope).
+
+    A def or class that is itself a statement of the body is walked,
+    header and body, down to the defs and classes inside it."""
     stack: List[ast.AST] = list(_own_statements(func_node))
     while stack:
         node = stack.pop()
@@ -210,6 +318,8 @@ class Project:
         self._imports: Dict[str, Dict[str, str]] = {}
         #: module name -> {module-level def name -> full name}.
         self._module_defs: Dict[str, Dict[str, str]] = {}
+        #: full name -> its own ``ast.Call`` nodes, until they resolve.
+        self._own_calls: Dict[str, List[ast.Call]] = {}
         self.files: List[str] = []
         #: The key-material fixpoint last computed over this build
         #: (:func:`repro.analysis.ir.dataflow.shared_fixpoint`).
@@ -245,9 +355,10 @@ class Project:
         rel_path = record.rel_path
         tree = record.tree
         collector = _FunctionCollector(module, rel_path)
-        collector.visit(tree)
-        for info in collector.found:
+        collector.collect(tree)
+        for info, calls in collector.found:
             self.functions[info.full_name] = info
+            self._own_calls[info.full_name] = calls
         self.files.append(rel_path)
         # module-level imports and defs, for Name-call resolution
         imports: Dict[str, str] = {}
@@ -286,21 +397,17 @@ class Project:
             name: tuple(sorted(targets)) for name, targets in class_inits.items()
         }
         for info in self.functions.values():
-            self._resolve_function(info)
+            self._resolve_function(info, self._own_calls[info.full_name])
+        self._own_calls = {}
         for caller, info in self.functions.items():
             for targets in info.call_targets.values():
                 for callee in targets:
                     self.callers.setdefault(callee, set()).add(caller)
 
-    def _resolve_function(self, info: FunctionInfo) -> None:
-        attrs: Set[str] = set()
-        for node in iter_own_nodes(info.node):
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                attrs.add(node.attr)
-            if isinstance(node, ast.Call):
-                info.call_targets[id(node)] = self._resolve_call(info, node)
-        info.attrs_read = frozenset(attrs)
-        for attr in attrs:
+    def _resolve_function(self, info: FunctionInfo, calls: List[ast.Call]) -> None:
+        for node in calls:
+            info.call_targets[id(node)] = self._resolve_call(info, node)
+        for attr in info.attrs_read:
             self.attr_readers.setdefault(attr, set()).add(info.full_name)
 
     def _resolve_call(

@@ -366,12 +366,7 @@ def _deployment_reachable(
 # analysis driver
 # ----------------------------------------------------------------------
 def _function_has_mints(info: FunctionInfo, config: KeySpanConfig) -> bool:
-    for node in iter_own_nodes(info.node):
-        if isinstance(node, ast.Call):
-            terminal = call_terminal(node)
-            if terminal is not None and terminal in config.mint_calls:
-                return True
-    return False
+    return not info.terminals.isdisjoint(config.mint_calls)
 
 
 def _kind_vacuous(spec: WindowKind, policy: ProtectionPolicy) -> bool:

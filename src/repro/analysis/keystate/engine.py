@@ -884,31 +884,13 @@ class _FunctionRun:
 # ----------------------------------------------------------------------
 # interprocedural driver, one automaton at a time
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class _CallIndex:
-    """Per-function call facts every automaton reads; built once per
-    analysis and never changed."""
-
-    #: function -> terminals it calls, nested defs included (for the
-    #: relevance filter).
-    terminals: Dict[str, FrozenSet[str]]
-    #: function -> every resolved callee.
-    callees: Dict[str, FrozenSet[str]]
-
-    @classmethod
-    def build(cls, project: Project) -> "_CallIndex":
-        terminals: Dict[str, FrozenSet[str]] = {}
-        callees: Dict[str, FrozenSet[str]] = {}
-        for name, info in project.functions.items():
-            terminals[name] = frozenset(
-                call_terminal(call)
-                for call in ast.walk(info.node)
-                if isinstance(call, ast.Call)
-            ) - {None}
-            callees[name] = frozenset(
-                t for targets in info.call_targets.values() for t in targets
-            )
-        return cls(terminals, callees)
+def _resolved_callees(project: Project) -> Dict[str, FrozenSet[str]]:
+    """function -> every resolved callee; built once per analysis and
+    read by every automaton."""
+    return {
+        name: frozenset(t for targets in info.call_targets.values() for t in targets)
+        for name, info in project.functions.items()
+    }
 
 
 class _AutomatonEngine:
@@ -917,7 +899,7 @@ class _AutomatonEngine:
         project: Project,
         automaton: Automaton,
         config: KeyStateConfig,
-        calls: _CallIndex,
+        callees: Dict[str, FrozenSet[str]],
     ) -> None:
         self.project = project
         self.automaton = automaton
@@ -931,7 +913,7 @@ class _AutomatonEngine:
         interesting = {t for t, _ in automaton.creators}
         interesting.update(p.terminal for p in automaton.events)
         self._interesting = interesting
-        self._calls = calls
+        self._callees = callees
 
     def cfg_for(self, info: FunctionInfo) -> CFG:
         cfg = self._cfgs.get(info.full_name)
@@ -968,16 +950,16 @@ class _AutomatonEngine:
 
     # ------------------------------------------------------------------
     def _relevant(self, name: str) -> bool:
-        if self._calls.terminals[name] & self._interesting:
+        info = self.project.functions[name]
+        if not info.deep_terminals.isdisjoint(self._interesting):
             return True
         if any(self.summaries[name].param_states.values()):
             return True
-        info = self.project.functions[name]
         if info.attrs_read & set(self.field_states):
             return True
         return any(
             self.summaries.get(c) is not None and self.summaries[c].creations
-            for c in self._calls.callees[name]
+            for c in self._callees[name]
             if c in self.summaries
         )
 
@@ -1098,13 +1080,13 @@ def analyze(
     project = load_project(paths, files, project)
     automata = automata_by_name(config.automata)
 
-    calls = _CallIndex.build(project)
+    callees = _resolved_callees(project)
     findings: List[Finding] = []
     rule_descriptions: Dict[str, str] = {}
     for automaton in automata:
         rule_descriptions.update(automaton.rules)
         findings.extend(
-            _AutomatonEngine(project, automaton, config, calls).run()
+            _AutomatonEngine(project, automaton, config, callees).run()
         )
 
     return KeyStateReport(

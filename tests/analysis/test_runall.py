@@ -5,6 +5,7 @@ import gc
 import importlib
 import json
 import random
+import sys
 import types
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from repro.analysis.ir.project import (
     discover_files,
     parse_files,
 )
+from repro.analysis.keyspan.config import DEFAULT_CONFIG as KEYSPAN_CONFIG
 from repro.analysis.lint import lint_file, lint_paths
 from repro.analysis.runall import REPRO_ROOT, LAYERS, parse_layers, run_all
 from repro.analysis.sarif import merge_sarif_logs, validate_sarif
@@ -120,6 +122,57 @@ class TestRunAll:
         discovered = discover_files(analysis_roots(None))
         assert len(parsed) == len(discovered) == len(result.files)
         assert sorted(parsed) == result.files
+
+    def test_no_layer_walks_function_trees_for_calls(self, monkeypatch):
+        """The IR build records each function's calls in its one pass
+        over each module, so it walks no function tree, and no layer
+        walks one to learn what a function calls.  The one walk left is
+        KeySpan's alias closure, and only over functions that mint."""
+        walks = []
+        defs = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+        def counting(original):
+            def wrapper(node):
+                if isinstance(node, defs):
+                    frame = sys._getframe(1)
+                    caller = (frame.f_globals["__name__"], frame.f_code.co_name)
+                    walks.append((caller, node))
+                return original(node)
+            return wrapper
+
+        monkeypatch.setattr(ast, "walk", counting(ast.walk))
+        own_nodes = ir_project.iter_own_nodes
+        counting_own_nodes = counting(own_nodes)
+        patched = []
+        for name, module in list(sys.modules.items()):
+            if name.startswith("repro.") and (
+                getattr(module, "iter_own_nodes", None) is own_nodes
+            ):
+                monkeypatch.setattr(module, "iter_own_nodes", counting_own_nodes)
+                patched.append(name)
+        assert {"repro.analysis.ir.project", "repro.analysis.keyspan.engine"} <= set(
+            patched
+        )
+        projects = []
+        original_load = Project.load.__func__
+
+        def keeping_load(cls, *args, **kwargs):
+            projects.append(original_load(cls, *args, **kwargs))
+            return projects[-1]
+
+        monkeypatch.setattr(Project, "load", classmethod(keeping_load))
+        run_all()
+        (project,) = projects
+        assert {caller for caller, _ in walks} <= {
+            ("repro.analysis.keyspan.engine", "_alias_closure")
+        }
+        minting = {
+            id(info.node)
+            for info in project.functions.values()
+            if not info.terminals.isdisjoint(KEYSPAN_CONFIG.mint_calls)
+        }
+        assert minting and len(minting) < len(project.functions) / 20
+        assert all(id(node) in minting for _, node in walks)
 
 
 class TestKeylintParity:

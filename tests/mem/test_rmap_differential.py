@@ -4,10 +4,11 @@
 ``index`` (its vpn).  The reference below is the walk it replaced: each
 chained VMA is asked whether *any* PTE in its range maps the frame.
 Random schedules of fork, COW breaks, munmap, exit, reclaim, eviction
-of one process, swap-in, ``mlock`` and ``munlock`` run on a server machine at every protection
-level, and after each step every allocated frame must report the same
-owners both ways, and every present page at a locked vpn must carry
-``LOCKED`` (a page swapped out when ``mlock`` runs comes back locked).
+of one process, swap-in, ``mlock`` and ``munlock`` run on a server
+machine at every protection level.  After each step every allocated
+frame must report the same owners both ways, and every present page at
+a locked vpn must carry ``LOCKED`` (a page swapped out when ``mlock``
+runs comes back locked).
 """
 
 import pytest
@@ -146,7 +147,7 @@ class Schedule:
                 for vpn, _pte in list(proc.mm.swap_out_candidates()):
                     proc.mm.swap_out(vpn)
             except SwapError:
-                pass
+                pass  # swap is full: stop, as reclaim does
         elif op == "swapin":
             proc, addrs, _ = entry
             for addr in addrs:

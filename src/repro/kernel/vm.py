@@ -106,6 +106,25 @@ class Vma:
         return f"Vma({self.name or 'anon'}, [{self.start:#x}, {self.end:#x}), {self.flags!r})"
 
 
+def _mapped_locked(page) -> bool:
+    """True if some VMA on ``page``'s anon_vma chain maps it, at its
+    ``index``, in an address space that holds that vpn locked."""
+    if page.anon_vma is None:
+        return False
+    vpn = page.index
+    for vma in page.anon_vma.vmas:
+        mm = vma.mm
+        pte = mm.page_table.get(vpn)
+        if (
+            pte is not None
+            and pte.frame == page.frame
+            and vma.contains(vpn * mm.page_size)
+            and mm._is_locked_vpn(vma, vpn)
+        ):
+            return True
+    return False
+
+
 class AddressSpace:
     """One ``mm_struct``: the VMA list plus a single-level page table."""
 
@@ -384,7 +403,13 @@ class AddressSpace:
                 self.kernel.buddy.pages[pte.frame].set_flag(PageFlag.LOCKED)
 
     def munlock(self, vaddr: int, length: int) -> None:
-        """Undo :meth:`mlock` for the covered pages."""
+        """Undo :meth:`mlock` for the covered pages.
+
+        A frame stays LOCKED while any address space still maps it at a
+        locked vpn: a forked child's ``munlock`` must not unpin the page
+        it shares copy-on-write with a parent that keeps its lock (Linux
+        keeps a page resident while any mapping of it is ``VM_LOCKED``).
+        """
         first = vaddr // self.page_size
         last = (vaddr + length - 1) // self.page_size
         for vpn in range(first, last + 1):
@@ -392,7 +417,9 @@ class AddressSpace:
             pte = self.page_table.get(vpn)
             if pte is not None and pte.present:
                 assert pte.frame is not None
-                self.kernel.buddy.pages[pte.frame].clear_flag(PageFlag.LOCKED)
+                page = self.kernel.buddy.pages[pte.frame]
+                if not _mapped_locked(page):
+                    page.clear_flag(PageFlag.LOCKED)
 
     # ------------------------------------------------------------------
     # fork

@@ -53,3 +53,23 @@ class TestMlockAcrossSwap:
         assert proc.mm.translate(addr) is None
         assert proc.mm.read(addr, 6) == b"secret"
         assert not kernel.page(frame_of(kernel, proc, addr)).locked
+
+
+class TestMunlockInForkedChild:
+    def test_child_munlock_keeps_the_parents_lock(self):
+        """The child's ``munlock`` drops only its own lock: the frame it
+        shared with the parent stays pinned while the parent's vpn is
+        locked, so reclaim after the child's COW break cannot evict the
+        parent's page."""
+        kernel = make_kernel()
+        parent = kernel.create_process("parent")
+        addr = parent.heap.malloc(64)
+        parent.mm.write(addr, b"secret")
+        parent.mm.mlock(addr, 64)
+        child = kernel.fork(parent)
+        child.mm.munlock(addr, 64)
+        child.mm.write(addr, b"copied")
+        kernel.reclaim_pages(10_000)
+        assert parent.mm.translate(addr) is not None
+        assert kernel.page(frame_of(kernel, parent, addr)).locked
+        assert parent.mm.read(addr, 6) == b"secret"

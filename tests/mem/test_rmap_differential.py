@@ -8,11 +8,12 @@ of one process, swap-in, ``mlock`` and ``munlock`` run on a server
 machine at every protection level.  After each step every allocated
 frame must report the same owners both ways, and every present page at
 a locked vpn must carry ``LOCKED`` (a page swapped out when ``mlock``
-runs comes back locked).
+runs comes back locked, and a forked child's ``munlock`` leaves the
+parent's lock in place).
 """
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.protection import ProtectionLevel
@@ -83,6 +84,14 @@ _STEPS = st.lists(
 )
 
 PAGE = 4096
+
+#: Lock, fork, ``munlock`` in the child, COW break in the child, evict
+#: the parent: the frame the parent still maps at its locked vpn keeps
+#: ``LOCKED`` through the child's ``munlock``.
+CHILD_MUNLOCK = [
+    ("spawn", 0), ("mlock", 0), ("fork", 0), ("munlock", 1), ("cow", 1),
+    ("evict", 0),
+]
 
 
 class Schedule:
@@ -170,6 +179,7 @@ class Schedule:
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(seed=st.integers(0, 2 ** 16), steps=_STEPS)
+@example(seed=0, steps=CHILD_MUNLOCK)
 def test_page_index_owners_equal_vma_walk(level, seed, steps):
     sim = Simulation(
         SimulationConfig(level=level, memory_mb=4, key_bits=256, seed=seed)

@@ -13,7 +13,12 @@ exception-edge routing benefits all of them:
   with exception edges and finally-aware abrupt-exit routing;
 * :mod:`repro.analysis.ir.dataflow` — the one interprocedural
   key-material fixpoint KeyFlow and KeyRecon project their reports
-  from, memoised per ``Project``.
+  from, memoised per ``Project``;
+* :mod:`repro.analysis.ir.domain` — the saturating ``const + k·N``
+  domain KeyCount counts copies in and KeySpan measures windows in;
+* :mod:`repro.analysis.ir.deployment` — the deployment both
+  quantitative layers evaluate (roots, reachability, the ladder) and
+  their shared copy-site vocabulary.
 
 This package grew out of ``analysis/keyflow/`` when KeyState arrived.
 Its dataflow engine is driven entirely by the layers' configs: what is

@@ -1,7 +1,8 @@
-"""The abstract copy-count domain: {0, 1, …, k, k·N, ⊤}.
+"""The saturating symbolic domain: {0, 1, …, k, k·N, ⊤}.
 
 KeyCount bounds *how many* resident copies of the private key a piece
-of code can create.  A :class:`Count` is the symbolic upper bound
+of code can create, and KeySpan (through its :class:`Ticks` subclass)
+how long each one lives.  A :class:`Count` is the symbolic upper bound
 
     const + per_conn · N        (or ⊤)
 
@@ -9,8 +10,8 @@ where ``N`` is the symbolic number of connections the deployment
 serves.  Constants saturate at :data:`CONST_CAP` and per-connection
 coefficients at :data:`COEFF_CAP`; overflowing either widens to ⊤.
 That makes the domain a finite join-semilattice, so the
-interprocedural fixpoint in :mod:`repro.analysis.keycount.engine`
-terminates and is order-independent:
+interprocedural fixpoints of both layers terminate and are
+order-independent:
 
 * ``add`` — sequential composition (two sites both execute);
 * ``mul`` — loop/caller multiplication (``N·N`` widens to ⊤, there is

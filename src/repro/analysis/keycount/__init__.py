@@ -27,13 +27,12 @@ Entry points: :func:`analyze` (the engine),
 ``python -m repro analyze --layers keycount`` CLI.
 """
 
+from repro.analysis.ir.deployment import LADDER
 from repro.analysis.keycount.config import DEFAULT_CONFIG, KeyCountConfig, KindSpec
-from repro.analysis.keycount.domain import Count
 from repro.analysis.keycount.engine import analyze
-from repro.analysis.keycount.findings import LADDER, Finding, KeyCountReport
+from repro.analysis.keycount.findings import Finding, KeyCountReport
 
 __all__ = [
-    "Count",
     "DEFAULT_CONFIG",
     "Finding",
     "KeyCountConfig",

@@ -2,20 +2,18 @@
 
 Everything the copy-bound engine treats as policy lives here as data:
 
-* :data:`DEFAULT_COPY_CALLS` — terminal call names that *create* a
-  copy of key material, mapped to a copy *kind*;
+* :data:`COPY_CALLS` — terminal call names that *create* a copy of key
+  material, mapped to a copy *kind*;
 * :data:`DEFAULT_KIND_SPECS` — per kind: which memory-region classes
   the copy occupies, and which mitigation flags *kill* it (reduce the
   static bound to zero) — each with the paper result it models;
 * :data:`DEFAULT_REGION_KILLS` — region-class backstops (the kernel
   zero-on-free patch kills every freed-region copy, whatever created
-  it);
-* :data:`DEFAULT_GUARD_ALIASES` — local parameter names that carry
-  mitigation-policy flags into library code (``align=`` in
-  ``d2i_privatekey`` is the library-alignment flag);
-* :data:`DEFAULT_DEPLOYMENT` — the interprocedural roots and their
-  symbolic multiplicities (the OpenSSH server entry points; connection
-  handling runs ``N`` times).
+  it).
+
+The deployment roots, the ladder and the guard aliases that carry
+mitigation-policy flags into library code are shared with KeySpan in
+:mod:`repro.analysis.ir.deployment`.
 
 The kill tables are deliberately asymmetric in one place, and the
 asymmetry is the point of the whole analysis: ``crt-part`` copies are
@@ -40,23 +38,11 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Mapping, Tuple
 
-from .domain import Count
+from ..ir.deployment import DEPLOYMENT, LOOP_CONST_CAP, POLICY_FLAGS
 
 #: Memory-region classes a copy can occupy, in report order.  ``total``
 #: in reports is the sum over these.
 REGION_CLASSES: Tuple[str, ...] = ("allocated", "freed", "pagecache", "swap")
-
-#: Policy flags a guard may test (``align_on_load`` is the derived
-#: property ``app_align or lib_align`` on ProtectionPolicy).
-POLICY_FLAGS: Tuple[str, ...] = (
-    "app_align",
-    "lib_align",
-    "kernel_zero",
-    "o_nocache",
-    "sshd_no_reexec",
-    "hw_vault",
-    "align_on_load",
-)
 
 
 @dataclass(frozen=True)
@@ -75,7 +61,7 @@ class KindSpec:
     paper_anchor: str = ""
 
 
-DEFAULT_COPY_CALLS: Mapping[str, str] = {
+COPY_CALLS: Mapping[str, str] = {
     # BN_bin2bn over each CRT part materializes a heap copy of that
     # part (d, p, q, dmp1, dmq1, iqmp).
     "bn_bin2bn": "crt-part",
@@ -168,73 +154,30 @@ DEFAULT_REGION_KILLS: Mapping[str, Tuple[str, ...]] = {
     "freed": ("kernel_zero",),
 }
 
-#: Parameter/attribute names that alias mitigation-policy flags inside
-#: library code.  ``if align:`` in d2i guards on the library-alignment
-#: policy; ``scrub_buffers`` defaults to it; ``rsa.aligned`` records
-#: that alignment ran.
-DEFAULT_GUARD_ALIASES: Mapping[str, str] = {
-    "align": "lib_align",
-    "aligned": "align_on_load",
-    "scrub_buffers": "align_on_load",
-    "use_nocache": "o_nocache",
-    "nocache": "o_nocache",
-    "no_reexec": "sshd_no_reexec",
-}
-
 #: Identifier fragments marking a buffer as key material for the
 #: free-without-clear (temp-buffer) heuristic.
-DEFAULT_SECRET_HINTS: FrozenSet[str] = frozenset(
+SECRET_HINTS: FrozenSet[str] = frozenset(
     {"pem", "der", "key", "priv", "secret", "mont", "bn"}
 )
 
-#: Module-level constant tuples with a known length, used as loop
-#: multipliers (``for name in PART_NAMES`` runs exactly six times).
-DEFAULT_CONST_ITERABLES: Mapping[str, int] = {"PART_NAMES": 6}
+#: Max guard-distinct context groups per function before merging.
+CONTEXT_CAP = 8
 
-#: Interprocedural roots: full-name *suffixes* of the deployment entry
-#: points and how often each runs.  The default is the paper's subject,
-#: the OpenSSH server: start/stop once, the connection cycle once per
-#: connection, set_concurrency once (its internal loops contribute the
-#: per-connection factor).  Functions unreachable from these roots
-#: (e.g. the Apache deployment) contribute nothing to the bound.
-DEFAULT_DEPLOYMENT: Mapping[str, Count] = {
-    "apps.sshd.OpenSSHServer.start": Count.one(),
-    "apps.sshd.OpenSSHServer.stop": Count.one(),
-    "apps.sshd.OpenSSHServer.run_connection_cycle": Count.per_connection(),
-    "apps.sshd.OpenSSHServer.set_concurrency": Count.one(),
-}
+#: Fixpoint round limit (the saturating domain converges well before
+#: this; the cap is a defensive backstop).
+MAX_ROUNDS = 24
 
 
 @dataclass(frozen=True)
 class KeyCountConfig:
-    """Tunable policy for the copy-bound engine."""
+    """The copy-bound engine's ablation hooks: the kill tables."""
 
-    copy_calls: Mapping[str, str] = field(
-        default_factory=lambda: dict(DEFAULT_COPY_CALLS)
-    )
     kind_specs: Mapping[str, KindSpec] = field(
         default_factory=lambda: dict(DEFAULT_KIND_SPECS)
     )
     region_kills: Mapping[str, Tuple[str, ...]] = field(
         default_factory=lambda: dict(DEFAULT_REGION_KILLS)
     )
-    guard_aliases: Mapping[str, str] = field(
-        default_factory=lambda: dict(DEFAULT_GUARD_ALIASES)
-    )
-    secret_hints: FrozenSet[str] = DEFAULT_SECRET_HINTS
-    const_iterables: Mapping[str, int] = field(
-        default_factory=lambda: dict(DEFAULT_CONST_ITERABLES)
-    )
-    deployment: Mapping[str, Count] = field(
-        default_factory=lambda: dict(DEFAULT_DEPLOYMENT)
-    )
-    #: Constant loop bounds above this widen to one-per-connection.
-    loop_const_cap: int = 64
-    #: Max guard-distinct context groups per function before merging.
-    context_cap: int = 8
-    #: Fixpoint round limit (the saturating domain converges well
-    #: before this; the cap is a defensive backstop).
-    max_rounds: int = 24
 
     # ------------------------------------------------------------------
     def without_mitigation(self, flag: str) -> "KeyCountConfig":
@@ -262,7 +205,7 @@ class KeyCountConfig:
 
     def describe(self) -> Dict[str, object]:
         return {
-            "copy_calls": dict(sorted(self.copy_calls.items())),
+            "copy_calls": dict(sorted(COPY_CALLS.items())),
             "kinds": {
                 kind: {
                     "regions": list(spec.regions),
@@ -277,10 +220,10 @@ class KeyCountConfig:
             },
             "deployment": {
                 suffix: count.render()
-                for suffix, count in sorted(self.deployment.items())
+                for suffix, count in sorted(DEPLOYMENT.items())
             },
-            "loop_const_cap": self.loop_const_cap,
-            "context_cap": self.context_cap,
+            "loop_const_cap": LOOP_CONST_CAP,
+            "context_cap": CONTEXT_CAP,
         }
 
 

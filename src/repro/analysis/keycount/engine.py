@@ -44,10 +44,17 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..findings import Finding, sort_findings
+from ..ir.deployment import LADDER, POLICIES, copy_exists, deployment_roots
+from ..ir.domain import Count
 from ..ir.project import Project, load_project
-from .config import DEFAULT_CONFIG, REGION_CLASSES, KeyCountConfig
-from .domain import Count
-from .findings import LADDER, KeyCountReport
+from .config import (
+    CONTEXT_CAP,
+    DEFAULT_CONFIG,
+    MAX_ROUNDS,
+    REGION_CLASSES,
+    KeyCountConfig,
+)
+from .findings import KeyCountReport
 from .sites import (
     CallEdge,
     CopySite,
@@ -61,7 +68,7 @@ from .sites import (
 Context = Tuple[Count, GuardSet]
 
 
-def _normalize(pairs: Sequence[Context], cap: int) -> Tuple[Context, ...]:
+def _normalize(pairs: Sequence[Context]) -> Tuple[Context, ...]:
     """Merge pairs with identical guard sets, sort canonically, and cap
     the group count (overflow merges into the guard-free group — fewer
     guards survive more policies, so capping only enlarges bounds)."""
@@ -73,8 +80,8 @@ def _normalize(pairs: Sequence[Context], cap: int) -> Tuple[Context, ...]:
     groups = sorted(
         merged.items(), key=lambda item: (len(item[0]), sorted(item[0]))
     )
-    if len(groups) > cap:
-        kept, overflow = groups[: cap - 1], groups[cap - 1 :]
+    if len(groups) > CONTEXT_CAP:
+        kept, overflow = groups[: CONTEXT_CAP - 1], groups[CONTEXT_CAP - 1 :]
         spill = Count.zero()
         for _, count in overflow:
             spill = spill.add(count)
@@ -83,28 +90,22 @@ def _normalize(pairs: Sequence[Context], cap: int) -> Tuple[Context, ...]:
             key=lambda item: (len(item[0]), sorted(item[0])),
         )
         # re-merge in case a guard-free group already existed
-        return _normalize(
-            [(count, guards) for guards, count in groups], cap
-        )
+        return _normalize([(count, guards) for guards, count in groups])
     return tuple((count, guards) for guards, count in groups)
 
 
 def _propagate_contexts(
     project: Project,
     edges_by_caller: Dict[str, List[CallEdge]],
-    config: KeyCountConfig,
 ) -> Dict[str, Tuple[Context, ...]]:
     names = project.sorted_names()
     base: Dict[str, List[Context]] = {}
-    for name in names:
-        for suffix, count in sorted(config.deployment.items()):
-            if name == suffix or name.endswith("." + suffix):
-                base.setdefault(name, []).append((count, frozenset()))
+    for name, count in deployment_roots(project):
+        base.setdefault(name, []).append((count, frozenset()))
     contexts: Dict[str, Tuple[Context, ...]] = {
-        name: _normalize(pairs, config.context_cap)
-        for name, pairs in base.items()
+        name: _normalize(pairs) for name, pairs in base.items()
     }
-    for _ in range(config.max_rounds):
+    for _ in range(MAX_ROUNDS):
         incoming: Dict[str, List[Context]] = {
             name: list(pairs) for name, pairs in base.items()
         }
@@ -124,8 +125,7 @@ def _propagate_contexts(
                         (scaled, merged_guards)
                     )
         new_contexts = {
-            name: _normalize(pairs, config.context_cap)
-            for name, pairs in sorted(incoming.items())
+            name: _normalize(pairs) for name, pairs in sorted(incoming.items())
         }
         new_contexts = {
             name: pairs for name, pairs in new_contexts.items() if pairs
@@ -163,17 +163,13 @@ def _evaluate_bounds(
     weighted_sites: Sequence[Tuple[CopySite, List[Context]]],
     config: KeyCountConfig,
 ) -> Dict[str, Dict[str, Count]]:
-    from repro.core.protection import ProtectionLevel, policy_for
-
     bounds: Dict[str, Dict[str, Count]] = {}
     for level_name in LADDER:
-        policy = policy_for(ProtectionLevel[level_name])
+        policy = POLICIES[level_name]
         per_region = {region: Count.zero() for region in REGION_CLASSES}
         for site, pairs in weighted_sites:
             spec = config.kind_specs[site.kind]
-            if any(getattr(policy, flag) for flag in spec.killed_by):
-                continue
-            if any(not getattr(policy, flag) for flag in spec.requires):
+            if not copy_exists(spec, policy):
                 continue
             contribution = Count.zero()
             for count, guards in pairs:
@@ -229,14 +225,12 @@ def analyze(
     sites: List[CopySite] = []
     edges_by_caller: Dict[str, List[CallEdge]] = {}
     for name in project.sorted_names():
-        function_sites, function_edges = collect_function(
-            project.functions[name], config
-        )
+        function_sites, function_edges = collect_function(project.functions[name])
         sites.extend(function_sites)
         if function_edges:
             edges_by_caller[name] = function_edges
 
-    contexts = _propagate_contexts(project, edges_by_caller, config)
+    contexts = _propagate_contexts(project, edges_by_caller)
 
     weighted_sites: List[Tuple[CopySite, List[Context]]] = []
     findings: List[Finding] = []

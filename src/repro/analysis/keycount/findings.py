@@ -28,14 +28,9 @@ from typing import Dict, List, Optional
 
 from repro.analysis.findings import Finding, finding_ids, to_sarif
 
+from ..ir.deployment import LADDER
+from ..ir.domain import Count
 from .config import REGION_CLASSES
-from .domain import Count
-
-#: Mitigation-strength order: each level's bound vector must strictly
-#: dominate the next.  (KERNEL sits between NONE and the alignment
-#: levels: zero-on-free kills freed-region copies but leaves the
-#: allocated-region inventory untouched.)
-LADDER = ("NONE", "KERNEL", "APPLICATION", "LIBRARY", "INTEGRATED", "HARDWARE")
 
 _RULE_DESCRIPTIONS: Dict[str, str] = {
     "crt-part": (

@@ -38,9 +38,20 @@ import ast
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
+from ..ir.deployment import (
+    LOOP_CONST_CAP,
+    clear_flag,
+    const_trips,
+    is_wrapper,
+    is_zero_bytes,
+    policy_flag,
+)
+from ..ir.domain import Count
 from ..ir.project import FunctionInfo, call_terminal
-from .config import POLICY_FLAGS, KeyCountConfig
-from .domain import Count
+from .config import COPY_CALLS, SECRET_HINTS
+
+#: :data:`COPY_CALLS` in the shape the shared wrapper rule reads.
+_COPY_KINDS = {terminal: (kind,) for terminal, kind in COPY_CALLS.items()}
 
 #: A signed policy guard: ``("lib_align", True)`` means "only when the
 #: library-alignment mitigation is enabled".
@@ -94,9 +105,8 @@ class CallEdge:
 class _SiteCollector(ast.NodeVisitor):
     """Walk one function body tracking loop multipliers and guards."""
 
-    def __init__(self, info: FunctionInfo, config: KeyCountConfig) -> None:
+    def __init__(self, info: FunctionInfo) -> None:
         self.info = info
-        self.config = config
         self.terminal = info.qualname.rsplit(".", 1)[-1]
         self.mult_stack: List[Count] = []
         self.guard_stack: List[Guard] = []
@@ -127,15 +137,7 @@ class _SiteCollector(ast.NodeVisitor):
         while isinstance(test, ast.UnaryOp) and isinstance(test.op, ast.Not):
             polarity = not polarity
             test = test.operand
-        if isinstance(test, ast.Name):
-            name = test.id
-        elif isinstance(test, ast.Attribute):
-            name = test.attr
-        else:
-            return None
-        flag = self.config.guard_aliases.get(name)
-        if flag is None and name in POLICY_FLAGS:
-            flag = name
+        flag = policy_flag(test)
         if flag is None:
             return None
         return (flag, polarity)
@@ -143,9 +145,9 @@ class _SiteCollector(ast.NodeVisitor):
     # -- loop multipliers ----------------------------------------------
     def _loop_multiplier(self, iterable: ast.AST) -> Count:
         if isinstance(iterable, ast.Name):
-            const = self.config.const_iterables.get(iterable.id)
-            if const is not None and const <= self.config.loop_const_cap:
-                return Count(const, 0)
+            trips = const_trips(iterable.id)
+            if trips is not None:
+                return Count(trips, 0)
             return Count.per_connection()
         if isinstance(iterable, ast.Call):
             terminal = call_terminal(iterable)
@@ -158,7 +160,7 @@ class _SiteCollector(ast.NodeVisitor):
                 if len(bounds) == len(iterable.args) and bounds:
                     trips = bounds[0] if len(bounds) == 1 else bounds[1] - bounds[0]
                     trips = max(trips, 0)
-                    if trips <= self.config.loop_const_cap:
+                    if trips <= LOOP_CONST_CAP:
                         return Count(trips, 0)
         return Count.per_connection()
 
@@ -240,8 +242,8 @@ class _SiteCollector(ast.NodeVisitor):
         self.generic_visit(node)
         terminal = call_terminal(node)
         if terminal is not None:
-            kind = self.config.copy_calls.get(terminal)
-            if kind is not None and not self._is_wrapper(terminal, kind):
+            kind = COPY_CALLS.get(terminal)
+            if kind is not None and not is_wrapper(self.info, terminal, _COPY_KINDS):
                 self._record_site(kind, terminal, node.lineno)
             elif terminal == "free" and self.terminal != "free":
                 self._maybe_free_site(node)
@@ -259,12 +261,6 @@ class _SiteCollector(ast.NodeVisitor):
                 )
             )
 
-    def _is_wrapper(self, terminal: str, kind: str) -> bool:
-        """A definition like ``posix_memalign`` delegating to
-        ``memalign`` is a wrapper, not a second copy site: the copy is
-        attributed to the caller of the wrapper."""
-        return self.config.copy_calls.get(self.terminal) == kind
-
     def _record_site(
         self, kind: str, op: str, line: int, extra: Optional[Guard] = None
     ) -> None:
@@ -275,25 +271,12 @@ class _SiteCollector(ast.NodeVisitor):
 
     # -- free-without-clear --------------------------------------------
     def _maybe_free_site(self, node: ast.Call) -> None:
-        extra: Optional[Guard] = None
-        for keyword in node.keywords:
-            if keyword.arg != "clear":
-                continue
-            value = keyword.value
-            if isinstance(value, ast.Constant) and value.value is True:
-                return  # explicit clear: no residual copy
-            name = None
-            if isinstance(value, ast.Name):
-                name = value.id
-            elif isinstance(value, ast.Attribute):
-                name = value.attr
-            flag = self.config.guard_aliases.get(name) if name else None
-            if flag is None and name in POLICY_FLAGS:
-                flag = name
-            if flag is not None:
-                # clear=<mitigation flag>: the copy exists only when
-                # that mitigation is off.
-                extra = (flag, False)
+        clear = clear_flag(node)
+        if clear is True:
+            return  # explicit clear: no residual copy
+        # clear=<mitigation flag>: the copy exists only when that
+        # mitigation is off.
+        extra: Optional[Guard] = (clear, False) if clear else None
         tokens = set()
         for arg in node.args:
             for sub in ast.walk(arg):
@@ -301,7 +284,7 @@ class _SiteCollector(ast.NodeVisitor):
                     tokens.update(sub.id.lower().split("_"))
                 elif isinstance(sub, ast.Attribute):
                     tokens.update(sub.attr.lower().split("_"))
-        if tokens.isdisjoint(self.config.secret_hints):
+        if tokens.isdisjoint(SECRET_HINTS):
             return
         if node.args and ast.dump(node.args[0]) in self.zeroed:
             return  # must-path zero overwrite precedes the free
@@ -313,29 +296,15 @@ class _SiteCollector(ast.NodeVisitor):
             isinstance(call, ast.Call)
             and call_terminal(call) == "write"
             and len(call.args) >= 2
-            and _is_zero_bytes(call.args[1])
+            and is_zero_bytes(call.args[1])
         ):
             self.zeroed.add(ast.dump(call.args[0]))
         self.generic_visit(node)
 
 
-def _is_zero_bytes(node: ast.AST) -> bool:
-    """Matches ``b"\\x00" * n`` and all-zero bytes literals."""
-    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
-        return _is_zero_bytes(node.left) or _is_zero_bytes(node.right)
-    return (
-        isinstance(node, ast.Constant)
-        and isinstance(node.value, bytes)
-        and len(node.value) > 0
-        and not any(node.value)
-    )
-
-
-def collect_function(
-    info: FunctionInfo, config: KeyCountConfig
-) -> Tuple[List[CopySite], List[CallEdge]]:
+def collect_function(info: FunctionInfo) -> Tuple[List[CopySite], List[CallEdge]]:
     """All copy sites and annotated call edges of one function."""
-    collector = _SiteCollector(info, config)
+    collector = _SiteCollector(info)
     for stmt in info.node.body:
         collector.visit(stmt)
     ordinals: Dict[str, int] = {}

@@ -29,10 +29,11 @@ Entry points: :func:`analyze` (the engine),
 ``python -m repro analyze --layers keyspan`` CLI.
 """
 
+from repro.analysis.ir.deployment import LADDER
 from repro.analysis.keyspan.config import DEFAULT_CONFIG, KeySpanConfig, WindowKind
 from repro.analysis.keyspan.domain import Ticks
 from repro.analysis.keyspan.engine import analyze
-from repro.analysis.keyspan.findings import LADDER, Finding, KeySpanReport
+from repro.analysis.keyspan.findings import Finding, KeySpanReport
 
 __all__ = [
     "DEFAULT_CONFIG",

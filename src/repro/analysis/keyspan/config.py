@@ -20,22 +20,29 @@ drive it:
 
 * **The tick cost model** — each statement costs one abstract event
   tick; calls are priced by callee summaries except for the hot
-  memory-plumbing terminals in :data:`DEFAULT_PRIMITIVE_COSTS`, which
+  memory-plumbing terminals in :data:`PRIMITIVE_COSTS`, which
   get fixed constants (their internals are page loops whose trip
   counts are data sizes, not exposure-relevant control flow).  Loops
   over connection-shaped iterables (and ``while True`` serve loops)
   multiply by the symbolic ``N``; loops over data multiply by
-  :attr:`KeySpanConfig.default_loop_trips`.
+  :data:`DEFAULT_LOOP_TRIPS`.
 
-Every entry is an ablation hook: :meth:`KeySpanConfig.without_scrub`
-and :meth:`KeySpanConfig.without_mitigation` strip one edge and the
-teeth tests assert the per-level window table visibly loosens.
+The deployment roots, the ladder, the guard aliases and the ``clear=``
+and zero-write recognisers are shared with KeyCount in
+:mod:`repro.analysis.ir.deployment`.
+
+:class:`KeySpanConfig` holds the ablation hooks:
+:meth:`KeySpanConfig.without_scrub` and
+:meth:`KeySpanConfig.without_mitigation` strip one edge and the teeth
+tests assert the per-level window table visibly loosens.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from typing import Dict, FrozenSet, Mapping, Optional, Tuple
+
+from ..ir.deployment import DEPLOYMENT, GUARD_ALIASES
 
 #: Column order for reports: transient kinds first, persistent last.
 KIND_ORDER = (
@@ -142,7 +149,7 @@ DEFAULT_KINDS: Dict[str, WindowKind] = {
 }
 
 #: mint terminal -> kinds one call materializes.
-DEFAULT_MINT_CALLS: Dict[str, Tuple[str, ...]] = {
+MINT_CALLS: Dict[str, Tuple[str, ...]] = {
     "bn_bin2bn": ("crt-part",),
     "MontgomeryContext": ("mont-cache",),
     "bio_read_file": ("pem-buffer", "pagecache-pem"),
@@ -164,24 +171,13 @@ DEFAULT_SCRUB_CALLS: Dict[str, Tuple[str, ...]] = {
 #: Terminals whose call is a (conditionally clearing) release.
 DEFAULT_CLEARING_FREES: FrozenSet[str] = frozenset({"free"})
 
-#: ``clear=<name>`` / guard-name -> ProtectionPolicy flag.
-DEFAULT_GUARD_ALIASES: Dict[str, str] = {
-    "align": "lib_align",
-    "aligned": "align_on_load",
-    "scrub_buffers": "align_on_load",
-    "scrub": "align_on_load",
-    "use_nocache": "o_nocache",
-    "nocache": "o_nocache",
-    "no_reexec": "sshd_no_reexec",
-}
-
 #: Fixed tick prices for hot memory-plumbing terminals.  Their bodies
 #: loop over pages/chunks of *data*, which the event clock ticks a
 #: bounded number of times per call; pricing them as constants keeps
 #: callee summaries finite.  Values are calibrated against KeySan's
 #: measured event counts (generous: every price is an upper bound on
 #: the sanitizer hooks one call fires in the containment workloads).
-DEFAULT_PRIMITIVE_COSTS: Dict[str, int] = {
+PRIMITIVE_COSTS: Dict[str, int] = {
     "write": 16,
     "read": 2,
     "malloc": 4,
@@ -211,14 +207,9 @@ DEFAULT_PRIMITIVE_COSTS: Dict[str, int] = {
     "exit_process": 32,
 }
 
-#: Constant-size iterables the loop multiplier recognizes by name.
-DEFAULT_CONST_ITERABLES: Dict[str, int] = {
-    "PART_NAMES": 6,
-}
-
 #: Loop iterables/tests mentioning any of these tokens multiply by the
 #: symbolic connection count ``N`` instead of a constant.
-DEFAULT_SYMBOLIC_LOOP_TOKENS: FrozenSet[str] = frozenset(
+SYMBOLIC_LOOP_TOKENS: FrozenSet[str] = frozenset(
     {
         "connection",
         "connections",
@@ -239,26 +230,23 @@ DEFAULT_SYMBOLIC_LOOP_TOKENS: FrozenSet[str] = frozenset(
     }
 )
 
-#: Reachability roots: the configured OpenSSH deployment, matching
-#: KeyCount's.  Mint sites in functions unreachable from these (the
-#: demo scenarios, attack tooling, the test tree) are reported as
-#: findings but do not enter the per-level window table — the window
-#: is a property of the deployment.
-DEFAULT_DEPLOYMENT: Tuple[str, ...] = (
-    "apps.sshd.OpenSSHServer.start",
-    "apps.sshd.OpenSSHServer.stop",
-    "apps.sshd.OpenSSHServer.run_connection_cycle",
-    "apps.sshd.OpenSSHServer.set_concurrency",
-)
+#: Trip-count bound for loops over plain data (non-symbolic).
+DEFAULT_LOOP_TRIPS = 16
+
+#: Ticks charged for the kernel zero-on-free teardown backstop on the
+#: exception route (the process dies, its frames are freed and zeroed —
+#: bounded, but far later than an in-function scrub).
+TEARDOWN_TICKS = 2048
+
+#: Worklist iteration bound (backstop; the saturating domain converges
+#: long before this).
+MAX_ROUNDS = 64
 
 
 @dataclass(frozen=True)
 class KeySpanConfig:
-    """Everything the exposure-window engine is parameterized by."""
+    """The exposure-window engine's ablation hooks."""
 
-    mint_calls: Mapping[str, Tuple[str, ...]] = field(
-        default_factory=lambda: dict(DEFAULT_MINT_CALLS)
-    )
     kinds: Mapping[str, WindowKind] = field(
         default_factory=lambda: dict(DEFAULT_KINDS)
     )
@@ -267,27 +255,8 @@ class KeySpanConfig:
     )
     clearing_frees: FrozenSet[str] = DEFAULT_CLEARING_FREES
     guard_aliases: Mapping[str, str] = field(
-        default_factory=lambda: dict(DEFAULT_GUARD_ALIASES)
+        default_factory=lambda: dict(GUARD_ALIASES)
     )
-    primitive_costs: Mapping[str, int] = field(
-        default_factory=lambda: dict(DEFAULT_PRIMITIVE_COSTS)
-    )
-    const_iterables: Mapping[str, int] = field(
-        default_factory=lambda: dict(DEFAULT_CONST_ITERABLES)
-    )
-    symbolic_loop_tokens: FrozenSet[str] = DEFAULT_SYMBOLIC_LOOP_TOKENS
-    deployment: Tuple[str, ...] = DEFAULT_DEPLOYMENT
-    #: Trip-count bound for loops over plain data (non-symbolic).
-    default_loop_trips: int = 16
-    #: Cap before a range()/const multiplier widens to ``N``.
-    loop_const_cap: int = 64
-    #: Ticks charged for the kernel zero-on-free teardown backstop on
-    #: the exception route (the process dies, its frames are freed and
-    #: zeroed — bounded, but far later than an in-function scrub).
-    teardown_ticks: int = 2048
-    #: Worklist iteration bound (backstop; the saturating domain
-    #: converges long before this).
-    max_rounds: int = 64
 
     # ------------------------------------------------------------------
     # ablation hooks (the teeth tests)
@@ -320,7 +289,7 @@ class KeySpanConfig:
 
     def describe(self) -> Dict[str, object]:
         return {
-            "mint_calls": {t: list(k) for t, k in sorted(self.mint_calls.items())},
+            "mint_calls": {t: list(k) for t, k in sorted(MINT_CALLS.items())},
             "scrub_calls": {t: list(k) for t, k in sorted(self.scrub_calls.items())},
             "clearing_frees": sorted(self.clearing_frees),
             "kinds": {
@@ -335,10 +304,10 @@ class KeySpanConfig:
                 }
                 for name, kind in sorted(self.kinds.items())
             },
-            "primitive_costs": dict(sorted(self.primitive_costs.items())),
-            "default_loop_trips": self.default_loop_trips,
-            "teardown_ticks": self.teardown_ticks,
-            "deployment": list(self.deployment),
+            "primitive_costs": dict(sorted(PRIMITIVE_COSTS.items())),
+            "default_loop_trips": DEFAULT_LOOP_TRIPS,
+            "teardown_ticks": TEARDOWN_TICKS,
+            "deployment": list(DEPLOYMENT),
         }
 
 

@@ -4,7 +4,8 @@ Every statement costs one abstract tick; a call costs its callee's
 summary (join over the coarse name-resolved candidates), except for
 the memory-plumbing terminals priced as constants by the config.
 Loops multiply their body by a symbolic or constant trip count, using
-the same vocabulary as KeyCount's site collector: ``PART_NAMES`` is 6,
+the constant-iterable table KeyCount's site collector reads
+(:mod:`repro.analysis.ir.deployment`): ``PART_NAMES`` is 6,
 ``range(k)`` is ``k`` (capped), anything connection-shaped — or a
 ``while True`` serve loop — is the symbolic ``N``, and plain data
 loops get the configured constant trip bound.
@@ -20,10 +21,11 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+from ..ir.deployment import LOOP_CONST_CAP, const_trips
 from ..ir.project import FunctionInfo, Project, call_terminal
-from .config import KeySpanConfig
+from .config import DEFAULT_LOOP_TRIPS, PRIMITIVE_COSTS, SYMBOLIC_LOOP_TOKENS
 from .domain import Ticks
 
 
@@ -44,23 +46,23 @@ class CostTemplate:
     calls: Tuple[PricedCall, ...]
 
 
-def loop_multiplier(
-    header: Optional[ast.expr], config: KeySpanConfig
-) -> Ticks:
+def loop_multiplier(header: Optional[ast.expr]) -> Ticks:
     """Trip-count bound for one loop given its iterable/test expr."""
     if header is None:
-        return Ticks(config.default_loop_trips, 0)
+        return Ticks(DEFAULT_LOOP_TRIPS, 0)
     # range(const) and named constant-size iterables stay precise.
     if isinstance(header, ast.Call) and call_terminal(header) == "range":
         args = header.args
         bound = args[1] if len(args) >= 2 else (args[0] if args else None)
         if isinstance(bound, ast.Constant) and isinstance(bound.value, int):
-            if 0 <= bound.value <= config.loop_const_cap:
+            if 0 <= bound.value <= LOOP_CONST_CAP:
                 return Ticks(bound.value, 0)
             return Ticks.per_connection()
     for node in ast.walk(header):
-        if isinstance(node, ast.Name) and node.id in config.const_iterables:
-            return Ticks(config.const_iterables[node.id], 0)
+        if isinstance(node, ast.Name):
+            trips = const_trips(node.id)
+            if trips is not None:
+                return Ticks(trips, 0)
     # ``while True`` and connection-shaped iterables serve N times.
     if isinstance(header, ast.Constant) and header.value is True:
         return Ticks.per_connection()
@@ -72,22 +74,20 @@ def loop_multiplier(
             node.id.lower() if isinstance(node, ast.Name) else node.attr.lower()
         ]
     }
-    if tokens & config.symbolic_loop_tokens:
+    if tokens & SYMBOLIC_LOOP_TOKENS:
         return Ticks.per_connection()
-    return Ticks(config.default_loop_trips, 0)
+    return Ticks(DEFAULT_LOOP_TRIPS, 0)
 
 
-def _comprehension_multiplier(
-    node: ast.AST, config: KeySpanConfig
-) -> Ticks:
+def _comprehension_multiplier(node: ast.AST) -> Ticks:
     mult = Ticks.one()
     for gen in getattr(node, "generators", ()):
-        mult = mult.mul(loop_multiplier(gen.iter, config))
+        mult = mult.mul(loop_multiplier(gen.iter))
     return mult
 
 
 def calls_in_expr(
-    expr: ast.AST, config: KeySpanConfig, multiplier: Ticks
+    expr: ast.AST, multiplier: Ticks
 ) -> List[Tuple[ast.Call, Ticks]]:
     """All calls in an expression with their loop-adjusted multipliers
     (calls inside comprehension bodies run once per generated element;
@@ -101,7 +101,7 @@ def calls_in_expr(
         if isinstance(
             node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
         ):
-            inner = mult.mul(_comprehension_multiplier(node, config))
+            inner = mult.mul(_comprehension_multiplier(node))
             for child in ast.iter_child_nodes(node):
                 stack.append((child, inner))
             continue
@@ -112,9 +112,7 @@ def calls_in_expr(
     return found
 
 
-def build_template(
-    info: FunctionInfo, config: KeySpanConfig
-) -> CostTemplate:
+def build_template(info: FunctionInfo) -> CostTemplate:
     """One AST walk turning a function body into ``base + Σ calls``."""
     base = Ticks.zero()
     calls: List[PricedCall] = []
@@ -122,7 +120,7 @@ def build_template(
     def note_calls(expr: Optional[ast.AST], mult: Ticks) -> None:
         if expr is None:
             return
-        for call, call_mult in calls_in_expr(expr, config, mult):
+        for call, call_mult in calls_in_expr(expr, mult):
             calls.append(
                 PricedCall(
                     terminal=call_terminal(call),
@@ -148,7 +146,7 @@ def build_template(
             elif isinstance(stmt, (ast.While, ast.For, ast.AsyncFor)):
                 header = stmt.test if isinstance(stmt, ast.While) else stmt.iter
                 note_calls(header, mult)
-                inner = mult.mul(loop_multiplier(header, config))
+                inner = mult.mul(loop_multiplier(header))
                 walk(stmt.body, inner)
                 walk(stmt.orelse, mult)
             elif isinstance(stmt, ast.Try):
@@ -172,11 +170,10 @@ def price_call(
     terminal: Optional[str],
     targets: Sequence[str],
     summaries: Mapping[str, Ticks],
-    config: KeySpanConfig,
 ) -> Ticks:
     """Tick price of one call: primitive override, else candidate join."""
-    if terminal is not None and terminal in config.primitive_costs:
-        return Ticks(config.primitive_costs[terminal], 0)
+    if terminal is not None and terminal in PRIMITIVE_COSTS:
+        return Ticks(PRIMITIVE_COSTS[terminal], 0)
     known = [summaries[t] for t in targets if t in summaries]
     if not known:
         return Ticks.one()
@@ -235,19 +232,17 @@ def _tarjan_sccs(graph: Mapping[str, Sequence[str]]) -> List[List[str]]:
     return sccs
 
 
-def compute_summaries(
-    project: Project, config: KeySpanConfig
-) -> Dict[str, Ticks]:
+def compute_summaries(project: Project) -> Dict[str, Ticks]:
     """Bottom-up tick summary for every function in the project."""
     templates = {
-        name: build_template(project.functions[name], config)
+        name: build_template(project.functions[name])
         for name in project.sorted_names()
     }
     graph: Dict[str, List[str]] = {}
     for name, template in templates.items():
         succs: List[str] = []
         for call in template.calls:
-            if call.terminal in config.primitive_costs:
+            if call.terminal in PRIMITIVE_COSTS:
                 continue  # priced as a constant, no summary dependency
             succs.extend(t for t in call.targets if t in templates)
         graph[name] = sorted(set(succs))
@@ -264,9 +259,9 @@ def compute_summaries(
         total = template.base
         for call in template.calls:
             total = total.add(
-                price_call(
-                    call.terminal, call.targets, summaries, config
-                ).mul(call.multiplier)
+                price_call(call.terminal, call.targets, summaries).mul(
+                    call.multiplier
+                )
             )
         summaries[name] = total
     return summaries

@@ -8,7 +8,7 @@ out —
 
     const + per_conn · N        (or ⊤, rendered ∞)
 
-— inherited from :class:`repro.analysis.keycount.domain.Count` with
+— inherited from :class:`repro.analysis.ir.domain.Count` with
 the full lattice algebra (``add`` for sequential cost, ``mul`` for
 loop multiplication, ``join`` for control-flow merge, ``covers`` for
 the semantic order).  Only the saturation caps differ: a copy count
@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import ClassVar
 
-from repro.analysis.keycount.domain import Count
+from repro.analysis.ir.domain import Count
 
 
 @dataclass(frozen=True)

@@ -49,10 +49,19 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-from repro.core.protection import ProtectionLevel, ProtectionPolicy, policy_for
+from repro.core.protection import ProtectionPolicy
 
 from ..findings import sort_findings
 from ..ir.cfg import CFG, CFGNode, build_cfg
+from ..ir.deployment import (
+    LADDER,
+    POLICIES,
+    clear_flag,
+    copy_exists,
+    is_wrapper,
+    is_zero_bytes,
+    reachable,
+)
 from ..ir.project import (
     FunctionInfo,
     Project,
@@ -60,10 +69,17 @@ from ..ir.project import (
     iter_own_nodes,
     load_project,
 )
-from .config import DEFAULT_CONFIG, KeySpanConfig, WindowKind
+from .config import (
+    DEFAULT_CONFIG,
+    MAX_ROUNDS,
+    MINT_CALLS,
+    TEARDOWN_TICKS,
+    KeySpanConfig,
+    WindowKind,
+)
 from .costs import calls_in_expr, compute_summaries, price_call
 from .domain import Ticks
-from .findings import LADDER, Finding, KeySpanReport
+from .findings import Finding, KeySpanReport
 
 
 # ----------------------------------------------------------------------
@@ -101,12 +117,10 @@ def _node_exprs(node: CFGNode) -> List[ast.AST]:
     return [stmt] if stmt is not None else []
 
 
-def _node_calls(
-    node: CFGNode, config: KeySpanConfig
-) -> List[Tuple[ast.Call, Ticks]]:
+def _node_calls(node: CFGNode) -> List[Tuple[ast.Call, Ticks]]:
     calls: List[Tuple[ast.Call, Ticks]] = []
     for expr in _node_exprs(node):
-        calls.extend(calls_in_expr(expr, config, Ticks.one()))
+        calls.extend(calls_in_expr(expr, Ticks.one()))
     return calls
 
 
@@ -114,14 +128,6 @@ def _expr_names(expr: Optional[ast.AST]) -> Set[str]:
     if expr is None:
         return set()
     return {n.id for n in ast.walk(expr) if isinstance(n, ast.Name)}
-
-
-def _target_names(target: ast.AST) -> Set[str]:
-    names: Set[str] = set()
-    for node in ast.walk(target):
-        if isinstance(node, ast.Name):
-            names.add(node.id)
-    return names
 
 
 def _alias_closure(info: FunctionInfo, seeds: Set[str]) -> Set[str]:
@@ -133,13 +139,13 @@ def _alias_closure(info: FunctionInfo, seeds: Set[str]) -> Set[str]:
         if isinstance(node, ast.Assign):
             targets: Set[str] = set()
             for t in node.targets:
-                targets |= _target_names(t)
+                targets |= _expr_names(t)
             flows.append((_expr_names(node.value), targets))
         elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
             if node.value is not None:
-                flows.append((_expr_names(node.value), _target_names(node.target)))
+                flows.append((_expr_names(node.value), _expr_names(node.target)))
         elif isinstance(node, (ast.For, ast.AsyncFor)):
-            flows.append((_expr_names(node.iter), _target_names(node.target)))
+            flows.append((_expr_names(node.iter), _expr_names(node.target)))
     closure = set(seeds)
     changed = True
     while changed:
@@ -151,38 +157,25 @@ def _alias_closure(info: FunctionInfo, seeds: Set[str]) -> Set[str]:
     return closure
 
 
-def _is_wrapper(info: FunctionInfo, terminal: str, config: KeySpanConfig) -> bool:
-    """The definition of a mint terminal calling a lower mint of the
-    same kind (``Process.memalign`` → ``heap.memalign``) is plumbing,
-    not a new copy."""
-    own_terminal = info.qualname.rsplit(".", 1)[-1]
-    if own_terminal not in config.mint_calls:
-        return False
-    own_kinds = set(config.mint_calls[own_terminal])
-    return bool(own_kinds & set(config.mint_calls.get(terminal, ())))
-
-
-def collect_mint_sites(
-    info: FunctionInfo, cfg: CFG, config: KeySpanConfig
-) -> List[MintSite]:
+def collect_mint_sites(info: FunctionInfo, cfg: CFG) -> List[MintSite]:
     sites: List[MintSite] = []
     ordinals: Dict[Tuple[str, str], int] = {}
     for node in cfg.nodes:
-        for call, _mult in _node_calls(node, config):
+        for call, _mult in _node_calls(node):
             terminal = call_terminal(call)
-            if terminal is None or terminal not in config.mint_calls:
+            if terminal is None or terminal not in MINT_CALLS:
                 continue
-            if _is_wrapper(info, terminal, config):
+            if is_wrapper(info, terminal, MINT_CALLS):
                 continue
             seeds: Set[str] = set()
             stmt = node.stmt
             if isinstance(stmt, ast.Assign):
                 for t in stmt.targets:
-                    seeds |= _target_names(t)
+                    seeds |= _expr_names(t)
             elif isinstance(stmt, (ast.AnnAssign, ast.AugAssign)):
-                seeds |= _target_names(stmt.target)
+                seeds |= _expr_names(stmt.target)
             names = _alias_closure(info, seeds) if seeds else set()
-            for kind in config.mint_calls[terminal]:
+            for kind in MINT_CALLS[terminal]:
                 key = (kind, terminal)
                 ordinal = ordinals.get(key, 0)
                 ordinals[key] = ordinal + 1
@@ -204,15 +197,6 @@ def collect_mint_sites(
 # ----------------------------------------------------------------------
 # scrub recognition
 # ----------------------------------------------------------------------
-def _is_zero_bytes(expr: ast.AST) -> bool:
-    """Matches ``b"\\x00" * n`` / ``n * b"\\x00"`` / a zero-bytes literal."""
-    if isinstance(expr, ast.Constant) and isinstance(expr.value, bytes):
-        return len(expr.value) > 0 and set(expr.value) == {0}
-    if isinstance(expr, ast.BinOp) and isinstance(expr.op, ast.Mult):
-        return _is_zero_bytes(expr.left) or _is_zero_bytes(expr.right)
-    return False
-
-
 def _call_arg_names(call: ast.Call) -> Set[str]:
     """Names a release/overwrite call touches: positional args, or the
     receiver of a method-style call (``ctx.free()``)."""
@@ -231,22 +215,8 @@ def _free_clears(
     Kernel zero-on-free scrubs every free regardless of the flag."""
     if policy.kernel_zero:
         return True
-    for kw in call.keywords:
-        if kw.arg != "clear":
-            continue
-        value = kw.value
-        if isinstance(value, ast.Constant):
-            return value.value is True
-        flag_name: Optional[str] = None
-        if isinstance(value, ast.Name):
-            flag_name = value.id
-        elif isinstance(value, ast.Attribute):
-            flag_name = value.attr
-        if flag_name is not None:
-            flag = config.guard_aliases.get(flag_name, flag_name)
-            return bool(getattr(policy, flag, False))
-        return False
-    return False
+    clear = clear_flag(call, config.guard_aliases)
+    return clear if isinstance(clear, bool) else getattr(policy, clear)
 
 
 def _node_scrubs_site(
@@ -270,7 +240,7 @@ def _node_scrubs_site(
             if _call_arg_names(call) & site.names:
                 return True
         if terminal == "write" and len(call.args) >= 2:
-            if _is_zero_bytes(call.args[1]) and _expr_names(call.args[0]) & site.names:
+            if is_zero_bytes(call.args[1]) and _expr_names(call.args[0]) & site.names:
                 return True
     return False
 
@@ -278,6 +248,15 @@ def _node_scrubs_site(
 # ----------------------------------------------------------------------
 # window dataflow
 # ----------------------------------------------------------------------
+@dataclass
+class FunctionFlow:
+    """One minting function's CFG with each node's calls and tick cost."""
+
+    cfg: CFG
+    calls: Dict[int, List[Tuple[ast.Call, Ticks]]]
+    costs: Dict[int, Ticks]
+
+
 @dataclass
 class PathWindows:
     """Where the obligation ended, by route."""
@@ -288,24 +267,23 @@ class PathWindows:
 
 
 def site_windows(
-    cfg: CFG,
+    flow: FunctionFlow,
     site: MintSite,
-    node_calls: Mapping[int, Sequence[Tuple[ast.Call, Ticks]]],
-    node_costs: Mapping[int, Ticks],
     spec: WindowKind,
     policy: ProtectionPolicy,
     config: KeySpanConfig,
     follow_exceptions: bool,
 ) -> PathWindows:
     """Forward worklist pass accumulating ticks from the mint node."""
+    cfg, node_costs = flow.cfg, flow.costs
     scrubbing = {
-        index: _node_scrubs_site(node_calls[index], site, spec, policy, config)
-        for index in node_calls
+        index: _node_scrubs_site(calls, site, spec, policy, config)
+        for index, calls in flow.calls.items()
     }
     result = PathWindows()
     state: Dict[int, Ticks] = {site.node_index: Ticks.zero()}
     worklist: List[int] = [site.node_index]
-    budget = config.max_rounds * max(1, len(cfg.nodes)) * 4
+    budget = MAX_ROUNDS * max(1, len(cfg.nodes)) * 4
     while worklist and budget > 0:
         budget -= 1
         index = worklist.pop()
@@ -339,44 +317,8 @@ def site_windows(
 
 
 # ----------------------------------------------------------------------
-# reachability
-# ----------------------------------------------------------------------
-def _deployment_reachable(
-    project: Project, config: KeySpanConfig
-) -> Set[str]:
-    roots = [
-        name
-        for name in project.sorted_names()
-        if any(name.endswith(suffix) for suffix in config.deployment)
-    ]
-    reachable: Set[str] = set(roots)
-    frontier = list(roots)
-    while frontier:
-        name = frontier.pop()
-        info = project.functions[name]
-        for targets in info.call_targets.values():
-            for callee in targets:
-                if callee in project.functions and callee not in reachable:
-                    reachable.add(callee)
-                    frontier.append(callee)
-    return reachable
-
-
-# ----------------------------------------------------------------------
 # analysis driver
 # ----------------------------------------------------------------------
-def _function_has_mints(info: FunctionInfo, config: KeySpanConfig) -> bool:
-    return not info.terminals.isdisjoint(config.mint_calls)
-
-
-def _kind_vacuous(spec: WindowKind, policy: ProtectionPolicy) -> bool:
-    if any(getattr(policy, flag, False) for flag in spec.killed_by):
-        return True
-    if any(not getattr(policy, flag, False) for flag in spec.requires):
-        return True
-    return False
-
-
 def _bounding_summary(
     spec: WindowKind,
     policy: ProtectionPolicy,
@@ -408,27 +350,26 @@ def analyze(
     """
     project = load_project(paths, files, project)
 
-    summaries = compute_summaries(project, config)
-    reachable = _deployment_reachable(project, config)
-    policies = {level: policy_for(ProtectionLevel[level]) for level in LADDER}
-    strongest_software = policies["INTEGRATED"]
+    summaries = compute_summaries(project)
+    # Mints outside the deployment are findings, but the window table is
+    # a property of the deployment.
+    deployed_functions = reachable(project)
+    strongest_software = POLICIES["INTEGRATED"]
 
     # ------------------------------------------------------------------
     # collect mint sites (CFGs built only where mints occur)
     # ------------------------------------------------------------------
     sites: List[MintSite] = []
-    cfg_of: Dict[str, CFG] = {}
-    calls_of: Dict[str, Dict[int, List[Tuple[ast.Call, Ticks]]]] = {}
-    costs_of: Dict[str, Dict[int, Ticks]] = {}
+    flows: Dict[str, FunctionFlow] = {}
     for name in project.sorted_names():
         info = project.functions[name]
-        if not _function_has_mints(info, config):
+        if info.terminals.isdisjoint(MINT_CALLS):
             continue
         cfg = build_cfg(info.node)
-        function_sites = collect_mint_sites(info, cfg, config)
+        function_sites = collect_mint_sites(info, cfg)
         if not function_sites:
             continue
-        node_calls = {n.index: _node_calls(n, config) for n in cfg.nodes}
+        node_calls = {n.index: _node_calls(n) for n in cfg.nodes}
         node_costs: Dict[int, Ticks] = {}
         for node in cfg.nodes:
             if node.kind in ("entry", "exit", "raise-exit", "join", "dispatch"):
@@ -441,37 +382,28 @@ def analyze(
                         call_terminal(call),
                         info.call_targets.get(id(call), ()),
                         summaries,
-                        config,
                     ).mul(mult)
                 )
             node_costs[node.index] = cost
-        cfg_of[name] = cfg
-        calls_of[name] = node_calls
-        costs_of[name] = node_costs
+        flows[name] = FunctionFlow(cfg, node_calls, node_costs)
         sites.extend(function_sites)
 
     # ------------------------------------------------------------------
     # findings (level-independent facts per mint site)
     # ------------------------------------------------------------------
     findings: List[Finding] = []
-    exception_covered: Dict[Tuple[str, str, str, int], bool] = {}
     for site in sites:
         spec = config.kinds[site.kind]
         paths_exc = site_windows(
-            cfg_of[site.function],
+            flows[site.function],
             site,
-            calls_of[site.function],
-            costs_of[site.function],
             spec,
             strongest_software,
             config,
             follow_exceptions=True,
         )
         covered = not paths_exc.raised
-        exception_covered[(site.kind, site.function, site.terminal, site.ordinal)] = (
-            covered
-        )
-        deployed = site.function in reachable
+        deployed = site.function in deployed_functions
         findings.append(
             Finding(
                 rule=site.kind,
@@ -499,19 +431,15 @@ def analyze(
     # ------------------------------------------------------------------
     windows: Dict[str, Dict[str, Optional[Ticks]]] = {}
     exception_tables: Dict[str, Dict[str, Optional[Ticks]]] = {}
-    deployed_sites = [s for s in sites if s.function in reachable]
-    teardown = Ticks(config.teardown_ticks, 0)
+    deployed_sites = [s for s in sites if s.function in deployed_functions]
+    teardown = Ticks(TEARDOWN_TICKS, 0)
     for level in LADDER:
-        policy = policies[level]
+        policy = POLICIES[level]
         level_windows: Dict[str, Optional[Ticks]] = {}
         level_exc: Dict[str, Optional[Ticks]] = {}
         for kind, spec in config.kinds.items():
-            if _kind_vacuous(spec, policy):
-                level_windows[kind] = None
-                level_exc[kind] = None
-                continue
             kind_sites = [s for s in deployed_sites if s.kind == kind]
-            if not kind_sites:
+            if not copy_exists(spec, policy) or not kind_sites:
                 level_windows[kind] = None
                 level_exc[kind] = None
                 continue
@@ -523,10 +451,8 @@ def analyze(
                     site_steady = bounding
                 else:
                     paths_normal = site_windows(
-                        cfg_of[site.function],
+                        flows[site.function],
                         site,
-                        calls_of[site.function],
-                        costs_of[site.function],
                         spec,
                         policy,
                         config,
@@ -540,10 +466,8 @@ def analyze(
                     if paths_normal.escaped:
                         site_steady = Ticks.unbounded()
                 paths_exc = site_windows(
-                    cfg_of[site.function],
+                    flows[site.function],
                     site,
-                    calls_of[site.function],
-                    costs_of[site.function],
                     spec,
                     policy,
                     config,

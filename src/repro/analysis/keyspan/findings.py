@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..findings import Finding as BaseFinding
 from ..findings import finding_ids, to_sarif
-from ..keycount.findings import LADDER
+from ..ir.deployment import LADDER
 from .config import KIND_ORDER
 from .domain import Ticks
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.keycount.domain import COEFF_CAP, CONST_CAP, Count
+from repro.analysis.ir.domain import COEFF_CAP, CONST_CAP, Count
 
 
 class TestConstruction:

@@ -12,7 +12,7 @@ import json
 import pytest
 
 from repro.analysis.keycount import DEFAULT_CONFIG, LADDER, analyze
-from repro.analysis.keycount.domain import Count
+from repro.analysis.ir.domain import Count
 from repro.analysis.sarif import validate_sarif
 
 

@@ -3,8 +3,7 @@
 import pytest
 
 from repro.analysis.ir.project import Project
-from repro.analysis.keycount.config import DEFAULT_CONFIG
-from repro.analysis.keycount.domain import Count
+from repro.analysis.ir.domain import Count
 from repro.analysis.keycount.sites import collect_function
 
 SOURCE = '''
@@ -62,7 +61,7 @@ def functions(tmp_path_factory):
 
 def collect(functions, name):
     info = functions[f"fixture.{name}"]
-    return collect_function(info, DEFAULT_CONFIG)
+    return collect_function(info)
 
 
 class TestMultipliers:

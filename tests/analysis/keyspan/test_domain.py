@@ -1,6 +1,6 @@
 """The Ticks domain: Count's algebra with window-sized headroom."""
 
-from repro.analysis.keycount.domain import Count
+from repro.analysis.ir.domain import Count
 from repro.analysis.keyspan.domain import Ticks
 
 

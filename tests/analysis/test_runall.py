@@ -20,7 +20,7 @@ from repro.analysis.ir.project import (
     discover_files,
     parse_files,
 )
-from repro.analysis.keyspan.config import DEFAULT_CONFIG as KEYSPAN_CONFIG
+from repro.analysis.keyspan.config import MINT_CALLS
 from repro.analysis.lint import lint_file, lint_paths
 from repro.analysis.runall import REPRO_ROOT, LAYERS, parse_layers, run_all
 from repro.analysis.sarif import merge_sarif_logs, validate_sarif
@@ -169,7 +169,7 @@ class TestRunAll:
         minting = {
             id(info.node)
             for info in project.functions.values()
-            if not info.terminals.isdisjoint(KEYSPAN_CONFIG.mint_calls)
+            if not info.terminals.isdisjoint(MINT_CALLS)
         }
         assert minting and len(minting) < len(project.functions) / 20
         assert all(id(node) in minting for _, node in walks)

@@ -25,9 +25,10 @@ the paper's timing:
   galloping C-speed compares (live RAM updates its cover per written
   frame instead), and :func:`find_all_sparse` probes each pattern only
   inside windows that can contain a match: one cover per scan.
-  :func:`nonzero_spans` bounds the data of each written frame for the
-  incremental scanner, and :func:`find_in_windows` searches any such
-  window list in one bound ``find`` loop.
+  :func:`nonzero_spans` bounds the data of each written frame, for the
+  incremental scanner and for live RAM's cover, and
+  :func:`find_in_windows` searches any such window list in one bound
+  ``find`` loop.
 """
 
 from __future__ import annotations
@@ -335,7 +336,11 @@ def nonzero_spans(
     (memcmp): two for an empty range, three for data in the first
     granule and none after it, and a binary search over granules on
     each side otherwise.  ``lstrip``/``rstrip`` cost a ``memchr`` per
-    byte, about ten times more on a mostly-empty page.
+    byte, about ten times more on a mostly-empty page, so a caller that
+    needs byte-exact bounds strips only the granule at each end
+    (:meth:`~repro.mem.physmem.PhysicalMemory.nonzero_intervals` does):
+    ``lo``'s granule holds the range's first nonzero byte and the one
+    ending at ``hi`` its last.
     """
     count = length // block
     zeros = _zero_blocks(block, count)

@@ -190,20 +190,25 @@ class PhysicalMemory:
 
         Incremental over the frame generations: only frames written
         since the last call are read again (generation 0 = never written
-        = zero), an all-zero one with one in-place compare."""
-        gens, size = self._frame_gen, self.page_size
+        = zero).  Each is bounded in place to 64-byte granules by
+        :meth:`frame_spans` (one compare for an all-zero frame), and only
+        its first and last granule are stripped, so each frame's span is
+        byte-exact: it starts at the frame's first nonzero byte and ends
+        one past its last.  Spans less than ``ZERO_GAP`` apart merge."""
+        gens = self._frame_gen
         if gens != self._span_gen:
-            zero = bytes(size)
-            changed = map(ne, gens, self._span_gen)
-            for frame in compress(range(self.num_frames), changed):
-                base = frame * size
-                if self._data.startswith(zero, base):
+            data, block = self._data, min(SPAN_BLOCK, self.page_size)
+            changed = list(
+                compress(range(self.num_frames), map(ne, gens, self._span_gen))
+            )
+            for frame, span in zip(changed, self.frame_spans(changed)):
+                if span is None:
                     self._spans.pop(frame, None)
                     continue
-                page = self._data[base : base + size]
+                lo, hi = span
                 self._spans[frame] = (
-                    base + size - len(page.lstrip(b"\0")),
-                    base + len(page.rstrip(b"\0")),
+                    lo + block - len(data[lo : lo + block].lstrip(b"\0")),
+                    hi - block + len(data[hi - block : hi].rstrip(b"\0")),
                 )
             self._span_gen = list(gens)
             merged: List[Tuple[int, int]] = []

@@ -52,6 +52,15 @@ planted byte:
   that run or in an earlier one, and either way ends no later than the
   ``marked_until`` mark the measured run left; it would plant nothing,
   and is skipped unmeasured.
+
+**Why a report costs what changed.**  Closed exposure windows never
+change, so each is built once and later reports extend the list.  A
+tainted frame's runs are cached under its physmem generation: every
+shadow mutation happens inside a ``PhysicalMemory`` mutator, after it
+bumped the generation of each frame it touches, so ``runs_in`` runs
+again only for frames written since the last report.  Regions are read
+afresh, because alloc, free and the page cache change them without a
+write.
 """
 
 from __future__ import annotations
@@ -60,7 +69,9 @@ import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import (
+    TYPE_CHECKING, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Set, Tuple,
+)
 
 from repro.sanitizer.lifecycle import LifecycleMonitor
 from repro.sanitizer.report import (
@@ -70,7 +81,7 @@ from repro.sanitizer.report import (
     TaintDiagnostic,
     TaintReport,
 )
-from repro.sanitizer.shadow import MAX_ORIGIN_ID, MAX_TAG_ID, ShadowMap
+from repro.sanitizer.shadow import MAX_ORIGIN_ID, MAX_TAG_ID, ShadowMap, TaintRun
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.attacks.keysearch import KeyPatternSet
@@ -118,6 +129,31 @@ class TaintTag:
     secret: bytes
     #: ``(secret_offset, window_bytes)`` anchor list for fast matching.
     anchors: Tuple[Tuple[int, bytes], ...]
+
+
+class FrameTaint(NamedTuple):
+    """One tainted frame's shadow, as a report reads it."""
+
+    #: The frame's physmem generation when the runs were measured.
+    generation: int
+    runs: List[TaintRun]
+    #: Tag id -> tainted bytes, in the order the tags first appear.
+    tags: Dict[int, int]
+    #: Origin ids, in the order they first appear.
+    origins: Tuple[int, ...]
+    #: Tainted bytes in the frame.
+    total: int
+
+
+def _summarise(runs: Iterable[TaintRun]) -> Tuple[Dict[int, int], Tuple[int, ...], int]:
+    """Per-tag byte totals, first-seen origin ids and the byte total of
+    ``runs``."""
+    tags: Dict[int, int] = {}
+    origins: Dict[int, None] = {}
+    for run in runs:
+        tags[run.tag_id] = tags.get(run.tag_id, 0) + run.length
+        origins[run.origin_id] = None
+    return tags, tuple(origins), sum(tags.values())
 
 
 def _build_anchors(secret: bytes, window: int) -> Tuple[Tuple[int, bytes], ...]:
@@ -216,6 +252,14 @@ class KeySan:
         self._open_by_page: Dict[int, Set[int]] = {}
         #: Closed ``(tag_id, page, birth, close)`` residency intervals.
         self.closed_exposures: List[Tuple[int, int, int, int]] = []
+        #: ``closed_exposures`` as windows, extended by each report.
+        self._windows: List[ExposureWindow] = []
+        #: Tainted frame -> its runs, valid while the frame's physmem
+        #: generation holds.  Every shadow mutation happens inside one of
+        #: the five PhysicalMemory mutators, after it bumped the
+        #: generation of each frame it touches, so a frame whose
+        #: generation did not move has the shadow it had.
+        self._frame_taint: Dict[int, FrameTaint] = {}
 
     # ------------------------------------------------------------------
     # attachment
@@ -495,17 +539,25 @@ class KeySan:
     # ------------------------------------------------------------------
     # allocator / VM hooks
     # ------------------------------------------------------------------
+    def _tag_name(self, tag_id: int) -> str:
+        tag = self.tags.get(tag_id)
+        return tag.name if tag is not None else f"tag#{tag_id}"
+
+    def _origin_labels(self, origins: Tuple[int, ...]) -> Tuple[str, ...]:
+        return tuple(dict.fromkeys(map(self.origin_name, origins)))
+
+    def _named(self, tags: Dict[int, int],
+               origins: Tuple[int, ...]) -> Tuple[Dict[str, int], Tuple[str, ...]]:
+        """A summary's tag and origin ids, as names."""
+        named: Dict[str, int] = {}
+        for tag_id, count in tags.items():
+            name = self._tag_name(tag_id)
+            named[name] = named.get(name, 0) + count
+        return named, self._origin_labels(origins)
+
     def _range_summary(self, addr: int, length: int) -> Tuple[Dict[str, int], Tuple[str, ...]]:
-        tags: Dict[str, int] = {}
-        origins: List[str] = []
-        for run in self.shadow.runs_in(addr, length):
-            tag = self.tags.get(run.tag_id)
-            name = tag.name if tag is not None else f"tag#{run.tag_id}"
-            tags[name] = tags.get(name, 0) + run.length
-            origin = self.origin_name(run.origin_id)
-            if origin not in origins:
-                origins.append(origin)
-        return tags, tuple(origins)
+        tags, origins, _ = _summarise(self.shadow.runs_in(addr, length))
+        return self._named(tags, origins)
 
     def on_frames_freed(self, head: int, order: int, cleared: bool) -> None:
         """Buddy free path: a tainted frame entering a free list without
@@ -636,17 +688,35 @@ class KeySan:
         a cross-incarnation leak: bytes of a key whose owner has exited
         still exist somewhere in RAM, attributed by region.
         """
-        page_size = self.kernel.physmem.page_size
         census: Dict[str, Dict[str, int]] = {}
-        for start, length in self.shadow.iter_tainted_chunks():
-            region = self._region_of(start // page_size)
-            for run in self.shadow.runs_in(start, length):
-                tag = self.tags.get(run.tag_id)
+        for frame, taint in self._tainted_frames().items():
+            region = self._region_of(frame)
+            for tag_id, count in taint.tags.items():
+                tag = self.tags.get(tag_id)
                 if tag is None or not tag.name.startswith(prefix):
                     continue
                 per_region = census.setdefault(region, {})
-                per_region[tag.name] = per_region.get(tag.name, 0) + run.length
+                per_region[tag.name] = per_region.get(tag.name, 0) + count
         return census
+
+    def _tainted_frames(self) -> Dict[int, FrameTaint]:
+        """Every tainted frame's :class:`FrameTaint`, in address order;
+        ``runs_in`` runs again only for frames written since the last
+        call."""
+        physmem = self.kernel.physmem
+        page_size = physmem.page_size
+        cached = self._frame_taint
+        frames: Dict[int, FrameTaint] = {}
+        for start, length in self.shadow.iter_tainted_chunks():
+            frame = start // page_size
+            generation = physmem.frame_generation(frame)
+            taint = cached.get(frame)
+            if taint is None or taint.generation != generation:
+                runs = self.shadow.runs_in(start, length)
+                taint = FrameTaint(generation, runs, *_summarise(runs))
+            frames[frame] = taint
+        self._frame_taint = frames
+        return frames
 
     def _region_of(self, frame: int) -> str:
         page = self.kernel.page(frame)
@@ -680,18 +750,18 @@ class KeySan:
         report.clock = self.clock
 
         # Exposure windows: closed intervals plus whatever is still open.
-        def _tag_name(tag_id: int) -> str:
-            tag = self.tags.get(tag_id)
-            return tag.name if tag is not None else f"tag#{tag_id}"
-
-        report.exposure_windows = [
-            ExposureWindow(_tag_name(tag_id), page, birth, close)
-            for tag_id, page, birth, close in self.closed_exposures
-        ]
+        # Closed ones never change, so each is built once.
+        windows = self._windows
+        windows.extend(
+            ExposureWindow(self._tag_name(tag_id), page, birth, close)
+            for tag_id, page, birth, close in self.closed_exposures[len(windows):]
+        )
+        report.exposure_windows = list(windows)
         report.open_exposures = [
-            ExposureWindow(_tag_name(tag_id), page, birth, None)
+            ExposureWindow(self._tag_name(tag_id), page, birth, None)
             for (tag_id, page), birth in sorted(self._open.items())
         ]
+        tainted = self._tainted_frames()
 
         # Full/untracked copy census against the scanner's patterns:
         # non-overlapping hits, like the scanner's extent rule.
@@ -723,7 +793,8 @@ class KeySan:
             # dynamic census KeyCount's static bounds must dominate.
             for page in sorted(copy_pages):
                 region = self._region_of(page)
-                _, origins = self._range_summary(page * page_size, page_size)
+                taint = tainted.get(page)
+                origins = () if taint is None else self._origin_labels(taint.origins)
                 report.copies.append(
                     CopyRecord(
                         page=page,
@@ -740,23 +811,21 @@ class KeySan:
         span_starts = [start for start, _ in full_spans]
         span_reach = list(accumulate((end for _, end in full_spans), max))
 
-        # One walk over the tainted chunks: per-tag/per-region census,
+        # One pass over the tainted frames: per-tag/per-region census,
         # fragments (runs inside no full copy), page-cache residue.
-        for start, length in self.shadow.iter_tainted_chunks():
-            frame = start // page_size
+        for frame, taint in tainted.items():
             region = self._region_of(frame)
-            for run in self.shadow.runs_in(start, length):
-                name = _tag_name(run.tag_id)
-                report.by_tag[name] = report.by_tag.get(name, 0) + run.length
-                report.by_region[region] = (
-                    report.by_region.get(region, 0) + run.length
-                )
+            for tag_id, count in taint.tags.items():
+                name = self._tag_name(tag_id)
+                report.by_tag[name] = report.by_tag.get(name, 0) + count
+            report.by_region[region] = report.by_region.get(region, 0) + taint.total
+            for run in taint.runs:
                 covering = bisect_right(span_starts, run.start)
                 if not covering or span_reach[covering - 1] < run.end:
                     report.fragments += 1
             page = self.kernel.page(frame)
             if page.in_pagecache:
-                tags, origins = self._range_summary(start, page_size)
+                tags, origins = self._named(taint.tags, taint.origins)
                 report.diagnostics.append(
                     TaintDiagnostic(
                         kind="pagecache-residue",

@@ -17,9 +17,9 @@ spec.loader.exec_module(ledger)
 STATIC_ROWS = ["keylint", "keyflow+keyrecon", "keystate", "keycount",
                "keyspan", "analyze"]
 HOT_LOOPS = ["scan_256mb_full", "scan_apache_pool_16mb", "scan_incremental_16mb",
-             "shadow_census_256mb", "taint_audit_16mb", "serve_sessions_16mb",
-             "taint_sessions_16mb", "keygen_cold_1024", "hardware_sessions_16mb",
-             "age_memory_32mb"]
+             "shadow_census_256mb", "taint_audit_16mb", "taint_audit_sessions_16mb",
+             "serve_sessions_16mb", "taint_sessions_16mb", "keygen_cold_1024",
+             "hardware_sessions_16mb", "age_memory_32mb"]
 
 
 def row(name, best):
@@ -113,6 +113,16 @@ class TestHotLoops:
         assert 0 < emitted["scanned_bytes"] < 2 * 16 * 1024 * 1024 // 10
         assert emitted["matches"] > 0
 
+    def test_taint_audit_sessions_row_audits_a_growing_history(self):
+        """One audit every ``every`` sessions, timed alone; the row
+        records the history the last audit met."""
+        emitted = ledger.HOT_LOOPS["taint_audit_sessions_16mb"](1, 4, 2)
+        assert emitted["best_seconds"] > 0
+        assert emitted["audits"] == 2
+        assert emitted["tainted_frames"] > 0
+        assert emitted["full_copies"] > 0
+        assert emitted["closed_windows"] > 0
+
     def test_hardware_sessions_row_runs_in_the_vault(self):
         """Every request's private operation is a key-vault operation."""
         emitted = ledger.HOT_LOOPS["hardware_sessions_16mb"](1, 2)
@@ -122,7 +132,7 @@ class TestHotLoops:
 
 class TestCommittedBaseline:
     def test_baseline_covers_every_layer(self):
-        """Six static rows, then the ten hot loops, all in one list."""
+        """Six static rows, then the eleven hot loops, all in one list."""
         rows = committed_ledger()["rows"]
         assert [r["name"] for r in rows] == STATIC_ROWS + HOT_LOOPS
         assert list(ledger.STATIC_ROWS) + list(ledger.HOT_LOOPS) == (

@@ -248,3 +248,147 @@ def test_self_overlapping_pattern_counts_non_overlapping_copies():
     # frame and in the swap slot alike.
     assert actual.full_copies == {"k": 2}
     assert actual.swap_hits == {"k": 2}
+
+
+# ----------------------------------------------------------------------
+# long-lived machines: reports that reuse what earlier reports built
+# ----------------------------------------------------------------------
+def _reattach(keysan) -> None:
+    """Wire a detached sanitizer back into its kernel, as ``attach``
+    wires a new one."""
+    kernel = keysan.kernel
+    kernel.physmem.sanitizer = keysan
+    kernel.buddy.on_free = keysan.on_frames_freed
+    kernel.keysan = keysan
+
+
+def _other_patterns(sim) -> KeyPatternSet:
+    """Prefixes of two of the machine's patterns and one absent
+    pattern: a census the machine's own pattern set never asked for."""
+    return KeyPatternSet({
+        "d24": sim.patterns.patterns["d"][:24],
+        "p": sim.patterns.patterns["p"],
+        "absent": b"\x5a\xa5" * 12,
+    }, canonical=False)
+
+
+def _cow_breaks(sim) -> None:
+    """Fork the server's master; the child writes one byte into each of
+    its resident pages, breaking COW on every one, and exits."""
+    kernel = sim.kernel
+    page_size = kernel.physmem.page_size
+    child = kernel.fork(sim.server.master)
+    for vma in child.mm.vmas:
+        for vpn in vma.vpns():
+            if child.mm.translate(vpn * page_size) is not None:
+                child.mm.write(vpn * page_size, b"\x01")
+    kernel.exit_process(child)
+
+
+def _punch_runs(sim) -> None:
+    """Zero one byte in the middle of the first tainted run of every
+    other tainted free frame, in place: those frames stay tainted but
+    their runs change, and the rest keep theirs."""
+    kernel, shadow = sim.kernel, sim.keysan.shadow
+    page_size = kernel.physmem.page_size
+    free = [start for start in _tainted_pages(shadow, page_size)
+            if not kernel.page(start // page_size).allocated]
+    for start in free[::2]:
+        run = shadow.runs_in(start, page_size)[0]
+        kernel.physmem.write(run.start + run.length // 2, b"\0")
+
+
+#: Between two audits of one machine: what each step does to it.
+LIFE = [
+    ("sessions", lambda sim: sim.cycle_connections(3)),
+    ("hold", lambda sim: sim.hold_connections(4)),
+    ("cow", _cow_breaks),
+    ("punch", _punch_runs),
+    ("reclaim", lambda sim: sim.kernel.reclaim_pages(600)),
+    ("sessions", lambda sim: sim.cycle_connections(2)),
+    ("ntty", lambda sim: sim.run_ntty_attack()),
+    ("sessions", lambda sim: sim.cycle_connections(3)),
+    ("detach", lambda sim: sim.keysan.detach()),
+    ("untracked sessions", lambda sim: sim.cycle_connections(2)),
+    ("reattach", lambda sim: _reattach(sim.keysan)),
+    ("sessions", lambda sim: sim.cycle_connections(3)),
+    ("reclaim", lambda sim: sim.kernel.reclaim_pages(600)),
+    ("punch", _punch_runs),
+    ("sessions", lambda sim: sim.cycle_connections(2)),
+]
+
+
+@pytest.mark.parametrize("server", ["openssh", "apache"])
+def test_repeated_audits_match_the_reference(server):
+    """One machine per server, audited after every step of a long life:
+    each report must equal a from-scratch census, exposure windows and
+    open windows included, whatever the earlier reports cached."""
+    sim = Simulation(SimulationConfig(
+        server=server, level=ProtectionLevel.NONE, memory_mb=8, key_bits=256,
+        seed=11, taint=True,
+    ))
+    sim.start_server()
+    keysan = sim.keysan
+    seen = set()
+    copies_before = 0.0
+    for index, (what, step) in enumerate(LIFE):
+        step(sim)
+        copied = sim.kernel.clock.spent.get("page_copy", 0.0)
+        if copied > copies_before:
+            seen.add("cow")
+        copies_before = copied
+        patterns = _other_patterns(sim) if what == "ntty" else sim.patterns
+        expected = reference_report(keysan, patterns)
+        actual = keysan.report(patterns)
+        assert _fields(actual) == _fields(expected), f"after step {index} ({what})"
+        seen.update(d.kind for d in actual.diagnostics)
+        if actual.swap_hits:
+            seen.add("swap")
+        if actual.exposure_windows:
+            seen.add("closed windows")
+    assert {"cow", "swap", "closed windows", "disclosure", "swap-out-tainted",
+            "pagecache-residue"} <= seen
+
+
+def test_census_by_prefix_matches_a_walk_of_every_page():
+    """The supervisor's cross-incarnation census, read from the per-frame
+    cache, equals a ``runs_in`` walk over every page, for both key
+    incarnations, as the machine keeps changing between calls."""
+    sim = Simulation(SimulationConfig(
+        level=ProtectionLevel.NONE, memory_mb=4, key_bits=256, seed=3,
+        taint=True, incarnation_tags=True,
+    ))
+    keysan = sim.keysan
+    page_size = sim.kernel.physmem.page_size
+
+    def walked(prefix: str) -> Dict[str, Dict[str, int]]:
+        census: Dict[str, Dict[str, int]] = {}
+        for start in range(0, keysan.shadow.size, page_size):
+            for run in keysan.shadow.runs_in(start, page_size):
+                name = keysan.tags[run.tag_id].name
+                if name.startswith(prefix):
+                    per_region = census.setdefault(
+                        keysan._region_of(start // page_size), {})
+                    per_region[name] = per_region.get(name, 0) + run.length
+        return census
+
+    def check() -> None:
+        for prefix in ("gen0.", "gen1.", "gen"):
+            assert keysan.census_by_prefix(prefix) == walked(prefix)
+
+    sim.start_server()
+    sim.cycle_connections(2)
+    check()
+    sim.server.crash()
+    sim.provision_key(1)
+    check()
+    sim.start_server()
+    sim.cycle_connections(2)
+    check()
+    sim.kernel.reclaim_pages(300)
+    check()
+    _punch_runs(sim)
+    check()
+    gen0 = keysan.census_by_prefix("gen0.")
+    gen1 = keysan.census_by_prefix("gen1.")
+    assert gen0 and gen1

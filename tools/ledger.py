@@ -15,7 +15,8 @@ the trajectory tooling reads every ``BENCH_*.json``).  It holds a flat
   time in: the 256 MB sparse memory scan, a full scan of an apache
   worker pool's many key copies, incremental scans between scp
   sessions, the KeySan shadow census,
-  one KeySan audit of a 16 MB machine, 100 scp sessions without and
+  one KeySan audit of a 16 MB machine, audits every 20 of 1,000 scp
+  sessions on one such machine, 100 scp sessions without and
   with KeySan's write hook, cold per-run keygen (beside the warm
   corpus hit), 100 apache requests served by the key vault, and boot
   aging of a 32 MB machine.
@@ -235,6 +236,39 @@ def _taint_audit_16mb(repeat: int) -> dict:
     }
 
 
+def _taint_audit_sessions_16mb(repeat: int, sessions: int = 1000,
+                               every: int = 20) -> dict:
+    """KeySan audits of a 16 MB openssh/none machine, one after every
+    ``every`` scp sessions: only the audits are timed, summed per
+    machine.  Unlike ``taint_audit_16mb``'s re-audit of one unchanged
+    machine, each audit meets the history the sessions before it left
+    (closed exposure windows, tainted frames, key copies)."""
+    def run():
+        sim = _machine(taint=True)
+        elapsed, audits = 0.0, 0
+        for index in range(sessions):
+            sim.server.run_connection_cycle(
+                SCP_FILE_SIZES[index % len(SCP_FILE_SIZES)]
+            )
+            if index % every == every - 1:
+                start = time.perf_counter()
+                check = sim.taint_report().cross_check(sim.scan())
+                elapsed += time.perf_counter() - start
+                assert check.consistent, "KeySan oracle and scanner disagree"
+                audits += 1
+        return elapsed, audits, sim, check
+
+    runs = [run() for _ in range(repeat)]
+    _, audits, sim, check = runs[-1]
+    return {
+        "best_seconds": min(elapsed for elapsed, _, _, _ in runs),
+        "audits": audits,
+        "closed_windows": len(sim.keysan.closed_exposures),
+        "tainted_frames": sum(1 for _ in sim.keysan.shadow.iter_tainted_chunks()),
+        "full_copies": sum(oracle for oracle, _ in check.counts.values()),
+    }
+
+
 def _scan_incremental_16mb(repeat: int, scans: int = 20) -> dict:
     """Incremental scans of a 16 MB openssh/none machine holding 20
     connections, with 20 scp sessions before each (e2ebench ``serve``'s
@@ -343,6 +377,7 @@ HOT_LOOPS = {
     "scan_incremental_16mb": _scan_incremental_16mb,
     "shadow_census_256mb": _shadow_census_256mb,
     "taint_audit_16mb": _taint_audit_16mb,
+    "taint_audit_sessions_16mb": _taint_audit_sessions_16mb,
     "serve_sessions_16mb": functools.partial(_sessions_16mb, False),
     "taint_sessions_16mb": functools.partial(_sessions_16mb, True),
     f"keygen_cold_{KEY_BITS}": _keygen_cold,

@@ -307,6 +307,14 @@ def _name_tokens(name: str) -> Set[str]:
     return {part for part in name.lower().split("_") if part}
 
 
+def _root_name(node: ast.expr) -> Optional[str]:
+    """The identifier an attribute chain hangs off (``dt.datetime`` ->
+    ``dt``), or None when the chain starts at a call or subscript."""
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
 def _scope_nodes(node: ast.AST) -> Iterable[ast.AST]:
     """AST nodes of a function's own body, not descending into nested
     function or lambda scopes (those get their own per-scope checks).
@@ -532,12 +540,14 @@ class _FileLinter(ast.NodeVisitor):
         func = node.func
         hit: Optional[str] = None
         if isinstance(func, ast.Attribute):
-            base_tokens = _identifier_tokens(func.value)
-            if name in WALL_CLOCK_TIME_FUNCS and base_tokens & self._time_aliases:
+            # The whole root identifier, not its underscore parts:
+            # ``sim_time.sleep()`` is not ``time.sleep()``.
+            root = _root_name(func.value)
+            if name in WALL_CLOCK_TIME_FUNCS and root in self._time_aliases:
                 hit = f"time.{name}()"
             elif (
                 name in WALL_CLOCK_DATETIME_FUNCS
-                and base_tokens & self._datetime_aliases
+                and root in self._datetime_aliases
             ):
                 hit = f"datetime.{name}()"
         elif isinstance(func, ast.Name) and name in self._clock_name_imports:

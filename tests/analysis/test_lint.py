@@ -103,6 +103,32 @@ class TestRulesFire:
         assert len(violations) == 4
         assert all("SimClock" in v.message for v in violations)
 
+    def test_wall_clock_matches_whole_module_aliases(self):
+        # A base whose name merely contains ``time`` is not the module.
+        source = (
+            "import time\n"
+            "def f(sim_time, time_source):\n"
+            "    sim_time.sleep(5)\n"
+            "    return time_source.time()\n"
+        )
+        assert lint_source(source, "kernel/clock.py") == []
+
+    def test_wall_clock_flags_every_alias_form(self):
+        source = (
+            "import time\n"
+            "import datetime as dt\n"
+            "from datetime import datetime\n"
+            "from time import sleep as nap\n"
+            "def f():\n"
+            "    time.monotonic()\n"
+            "    nap(1)\n"
+            "    datetime.now()\n"
+            "    dt.datetime.now()\n"
+        )
+        violations = lint_source(source, "kernel/clock.py")
+        assert rules_in(violations) == {"wall-clock-in-sim"}
+        assert [v.line for v in violations] == [6, 7, 8, 9]
+
     def test_wall_clock_rule_is_path_scoped(self):
         source = (FIXTURES / "kernel" / "bad_wall_clock.py").read_text()
         assert lint_source(source, "analysis/bench.py") == []

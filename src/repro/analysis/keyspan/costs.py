@@ -86,6 +86,13 @@ def _comprehension_multiplier(node: ast.AST) -> Ticks:
     return mult
 
 
+#: Expressions that run their element once per generated item.
+_COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+#: AST node type -> its ``_fields``, ``ctx`` left out.
+_CHILD_FIELDS: Dict[type, Tuple[str, ...]] = {}
+
+
 def calls_in_expr(
     expr: ast.AST, multiplier: Ticks
 ) -> List[Tuple[ast.Call, Ticks]]:
@@ -93,23 +100,43 @@ def calls_in_expr(
     (calls inside comprehension bodies run once per generated element;
     lambda bodies are skipped — they are separate functions)."""
     found: List[Tuple[ast.Call, Ticks]] = []
-    stack: List[Tuple[ast.AST, Ticks]] = [(expr, multiplier)]
-    while stack:
-        node, mult = stack.pop()
-        if isinstance(node, ast.Lambda):
-            continue
-        if isinstance(
-            node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
-        ):
-            inner = mult.mul(_comprehension_multiplier(node))
-            for child in ast.iter_child_nodes(node):
-                stack.append((child, inner))
-            continue
-        if isinstance(node, ast.Call):
-            found.append((node, mult))
-        for child in ast.iter_child_nodes(node):
-            stack.append((child, mult))
+    _collect_calls([expr], multiplier, found)
     return found
+
+
+def _collect_calls(
+    stack: List[ast.AST], mult: Ticks, found: List[Tuple[ast.Call, Ticks]]
+) -> None:
+    """Pop ``stack`` empty, pricing its calls at ``mult``.  Children are
+    pushed in source order, so siblings pop last to first.  A
+    comprehension's children are walked at once at its own multiplier,
+    before the rest of the stack, as a shared stack would pop them."""
+    child_fields = _CHILD_FIELDS
+    while stack:
+        node = stack.pop()
+        kind = type(node)
+        if kind is ast.Call:
+            found.append((node, mult))
+        elif kind is ast.Lambda or kind is ast.Name or kind is ast.Constant:
+            continue  # a separate function, or a leaf
+        fields = child_fields.get(kind)
+        if fields is None:
+            fields = child_fields[kind] = tuple(
+                name for name in kind._fields if name != "ctx"
+            )
+        children = [] if kind in _COMPREHENSIONS else stack
+        for name in fields:
+            value = getattr(node, name, None)
+            if type(value) is list:
+                for item in value:
+                    if isinstance(item, ast.AST):
+                        children.append(item)
+            elif isinstance(value, ast.AST):
+                children.append(value)
+        if children is not stack:
+            _collect_calls(
+                children, mult.mul(_comprehension_multiplier(node)), found
+            )
 
 
 def build_template(info: FunctionInfo) -> CostTemplate:

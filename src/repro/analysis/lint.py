@@ -92,6 +92,7 @@ from typing import (
     TYPE_CHECKING,
     Dict,
     Iterable,
+    Iterator,
     List,
     Optional,
     Sequence,
@@ -291,7 +292,7 @@ def _identifier_tokens(node: ast.expr) -> Set[str]:
     """Lower-cased name parts of an expression: ``rsa.dmp1`` ->
     ``{"rsa", "dmp1"}``, ``priv_key_bn`` -> ``{"priv", "key", "bn"}``."""
     names: List[str] = []
-    for sub in ast.walk(node):
+    for sub in _subtree(node):
         if isinstance(sub, ast.Name):
             names.append(sub.id)
         elif isinstance(sub, ast.Attribute):
@@ -315,22 +316,40 @@ def _root_name(node: ast.expr) -> Optional[str]:
     return node.id if isinstance(node, ast.Name) else None
 
 
-def _scope_nodes(node: ast.AST) -> Iterable[ast.AST]:
-    """AST nodes of a function's own body, not descending into nested
-    function or lambda scopes (those get their own per-scope checks).
+#: AST node type -> its ``_fields`` in reverse, ``ctx`` left out.
+_CHILD_FIELDS: Dict[type, Tuple[str, ...]] = {}
 
-    Not :func:`repro.analysis.ir.project.iter_own_nodes`: that one
-    descends into lambdas and skips classes, this one skips lambdas
-    (keylint checks them as scopes), descends into classes and covers
-    the signature and decorators, so merging the two would move
-    keylint's findings."""
-    stack = list(ast.iter_child_nodes(node))
+
+def _child_fields(kind: type) -> Tuple[str, ...]:
+    fields = _CHILD_FIELDS.get(kind)
+    if fields is None:
+        fields = _CHILD_FIELDS[kind] = tuple(
+            name for name in reversed(kind._fields) if name != "ctx"
+        )
+    return fields
+
+
+def _push_children(node: ast.AST, stack: List[ast.AST]) -> None:
+    """``ast.iter_child_nodes(node)`` onto ``stack`` in reverse, so the
+    children pop in source order."""
+    for name in _child_fields(type(node)):
+        value = getattr(node, name, None)
+        if type(value) is list:
+            for item in reversed(value):
+                if isinstance(item, ast.AST):
+                    stack.append(item)
+        elif isinstance(value, ast.AST):
+            stack.append(value)
+
+
+def _subtree(node: ast.AST) -> Iterator[ast.AST]:
+    """``node`` and every node under it, as ``ast.walk`` finds them but
+    in another order (every caller folds them into a set)."""
+    stack = [node]
     while stack:
         sub = stack.pop()
         yield sub
-        if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue
-        stack.extend(ast.iter_child_nodes(sub))
+        _push_children(sub, stack)
 
 
 def _call_name(node: ast.Call) -> Optional[str]:
@@ -349,7 +368,7 @@ def _secret_exposures(node: ast.expr) -> List[str]:
     key-looking bases (``rsa.dmp1``, ``key.d``).  f-strings are plain
     expression trees, so ``f"d={rsa.d}"`` is covered by the same walk."""
     found: Set[str] = set()
-    for sub in ast.walk(node):
+    for sub in _subtree(node):
         if isinstance(sub, ast.Call):
             name = _call_name(sub)
             if name in SECRET_PRODUCERS:
@@ -363,8 +382,46 @@ def _secret_exposures(node: ast.expr) -> List[str]:
     return sorted(found)
 
 
-class _FileLinter(ast.NodeVisitor):
-    """Single-file AST walk collecting violations for every rule."""
+def _clears_mont(node: ast.Call) -> bool:
+    """True when a ``drop_mont()`` call passes ``clear=True``."""
+    clear = next((kw.value for kw in node.keywords if kw.arg == "clear"), None)
+    return isinstance(clear, ast.Constant) and clear.value is True
+
+
+#: The node types that open a scope of their own.
+_SCOPE_TYPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+class _Scope:
+    """A def or lambda while the pass is inside it: what the rules that
+    read a whole scope need of the nodes filed under it."""
+
+    __slots__ = ("name", "calls", "idents")
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+        #: ``(terminal name, call)`` for each named call, in pre-order.
+        self.calls: List[Tuple[str, ast.Call]] = []
+        #: Every ``Name`` id and attribute name.
+        self.idents: Set[str] = set()
+
+
+class _FileLinter:
+    """One pre-order pass over a module collecting every rule's
+    violations.
+
+    Each node is visited once, from an explicit stack.  Call, Import,
+    ImportFrom, ExceptHandler and the assignments run their rules as
+    they are reached, so import aliases are known in source order.
+    Each node is also filed under its innermost def or lambda scope: a
+    nested def's decorators, defaults and annotations belong to that
+    def, a lambda is a scope of its own, a class body belongs to the
+    enclosing scope and module-level code to none.  (Not the scope
+    rule of :func:`repro.analysis.ir.project.iter_own_nodes`, which
+    descends into lambdas and skips classes; merging the two would
+    move keylint's findings.)  When a scope ends, the rules that read
+    all of it run: derived-secret-scrub, long-lived-secret and
+    memalign-mlock."""
 
     def __init__(self, rel_path: str) -> None:
         self.rel_path = rel_path
@@ -384,8 +441,68 @@ class _FileLinter(ast.NodeVisitor):
         self._time_aliases: Set[str] = set()
         self._datetime_aliases: Set[str] = set()
         self._clock_name_imports: Set[str] = set()
-        #: Function nesting stack of (name, memalign calls, has mlock).
-        self._func_stack: List[Tuple[str, List[ast.Call], bool]] = []
+        #: Node type -> its rule, for the statement-level rules.
+        self._handlers = {
+            ast.Import: self._visit_import,
+            ast.ImportFrom: self._visit_import_from,
+            ast.ExceptHandler: self._visit_except_handler,
+            ast.Assign: lambda node: self._check_retention(
+                node.targets, node.value
+            ),
+            ast.AnnAssign: lambda node: self._check_retention(
+                [node.target], node.value
+            ),
+            ast.AugAssign: lambda node: self._check_retention(
+                [node.target], node.value
+            ),
+        }
+
+    def run(self, tree: ast.AST) -> None:
+        """Lint ``tree``.  A scope is pushed under its children, so it
+        pops, and its rules run, once they are all visited."""
+        handlers = self._handlers
+        child_fields = _CHILD_FIELDS
+        scopes: List[_Scope] = []
+        scope: Optional[_Scope] = None
+        stack: List[object] = [tree]
+        while stack:
+            node = stack.pop()
+            kind = type(node)
+            if kind is _Scope:
+                self._close_scope(node)
+                scopes.pop()
+                scope = scopes[-1] if scopes else None
+                continue
+            if kind is ast.Name:
+                if scope is not None:
+                    scope.idents.add(node.id)
+                continue  # nothing below a Name but its ctx
+            if kind is ast.Attribute:
+                if scope is not None:
+                    scope.idents.add(node.attr)
+            elif kind is ast.Call:
+                name = _call_name(node)
+                self._visit_call(node, name)
+                if scope is not None and name is not None:
+                    scope.calls.append((name, node))
+            elif kind in _SCOPE_TYPES:
+                scope = _Scope("<lambda>" if kind is ast.Lambda else node.name)
+                scopes.append(scope)
+                stack.append(scope)
+            else:
+                handler = handlers.get(kind)
+                if handler is not None:
+                    handler(node)
+            # ``_push_children``, inlined: this runs once per node.
+            fields = child_fields.get(kind) or _child_fields(kind)
+            for field in fields:
+                value = getattr(node, field, None)
+                if type(value) is list:
+                    for item in reversed(value):
+                        if isinstance(item, ast.AST):
+                            stack.append(item)
+                elif isinstance(value, ast.AST):
+                    stack.append(value)
 
     # ------------------------------------------------------------------
     def _flag(self, node: ast.AST, rule: str, message: str) -> None:
@@ -400,68 +517,60 @@ class _FileLinter(ast.NodeVisitor):
         )
 
     # ------------------------------------------------------------------
-    # function scope tracking (memalign-mlock is a per-function rule)
+    # the rules that read a whole scope, run when it ends
     # ------------------------------------------------------------------
-    def _check_derived_scrub(
-        self, nodes: Sequence[ast.AST], scope_name: str
-    ) -> None:
+    def _close_scope(self, scope: _Scope) -> None:
+        self._check_derived_scrub(scope)
+        self._check_long_lived(scope)
+        self._check_memalign(scope)
+
+    def _check_derived_scrub(self, scope: _Scope) -> None:
         """derived-secret-scrub: a scope that clear-scrubs the primary
         secret but leaves derived fragments (CRT exponents, Montgomery
         residues) it also touches unscrubbed."""
         primary_scrubs: List[Tuple[ast.Call, List[str]]] = []
-        derived_seen: Set[str] = set()
-        derived_scrubbed = False
-        for sub in nodes:
-            if isinstance(sub, ast.Name):
-                derived_seen.update(_name_tokens(sub.id) & DERIVED_SECRET_TOKENS)
-            elif isinstance(sub, ast.Attribute):
-                derived_seen.update(_name_tokens(sub.attr) & DERIVED_SECRET_TOKENS)
-            if not isinstance(sub, ast.Call):
-                continue
-            name = _call_name(sub)
-            if name in CLEAR_SCRUB_CALLS and sub.args:
-                tokens = _identifier_tokens(sub.args[0])
+        for name, call in scope.calls:
+            if name in CLEAR_SCRUB_CALLS and call.args:
+                tokens = _identifier_tokens(call.args[0])
                 if tokens & DERIVED_SECRET_TOKENS:
-                    derived_scrubbed = True
-                elif tokens & PRIMARY_SECRET_TOKENS:
+                    return  # the derived state is scrubbed
+                if tokens & PRIMARY_SECRET_TOKENS:
                     primary_scrubs.append(
-                        (sub, sorted(tokens & PRIMARY_SECRET_TOKENS))
+                        (call, sorted(tokens & PRIMARY_SECRET_TOKENS))
                     )
-            elif name == "drop_mont":
-                clear = next(
-                    (kw.value for kw in sub.keywords if kw.arg == "clear"), None
-                )
-                if isinstance(clear, ast.Constant) and clear.value is True:
-                    derived_scrubbed = True
-        if primary_scrubs and derived_seen and not derived_scrubbed:
-            fragments = ", ".join(sorted(derived_seen))
-            for call, hits in primary_scrubs:
-                self._flag(
-                    call,
-                    "derived-secret-scrub",
-                    f"{scope_name}() scrubs the primary secret "
-                    f"({', '.join(hits)}) but leaves derived key state "
-                    f"({fragments}) unscrubbed; CRT fragments and "
-                    f"Montgomery residues reconstruct the key, so the "
-                    f"half-scrub buys nothing (see keyrecon)",
-                )
+            elif name == "drop_mont" and _clears_mont(call):
+                return
+        if not primary_scrubs:
+            return
+        derived_seen: Set[str] = set()
+        for ident in scope.idents:
+            derived_seen.update(_name_tokens(ident) & DERIVED_SECRET_TOKENS)
+        if not derived_seen:
+            return
+        fragments = ", ".join(sorted(derived_seen))
+        for call, hits in primary_scrubs:
+            self._flag(
+                call,
+                "derived-secret-scrub",
+                f"{scope.name}() scrubs the primary secret "
+                f"({', '.join(hits)}) but leaves derived key state "
+                f"({fragments}) unscrubbed; CRT fragments and "
+                f"Montgomery residues reconstruct the key, so the "
+                f"half-scrub buys nothing (see keyrecon)",
+            )
 
-    def _check_long_lived(
-        self, nodes: Sequence[ast.AST], scope_name: str
-    ) -> None:
+    def _check_long_lived(self, scope: _Scope) -> None:
         """long-lived-secret: the scope mints key material, then blocks
         (network wait, session driver) with the copies still live — no
         scrub or mitigation handoff in between.  Own-scope calls are
-        replayed in source order as the execution-order approximation."""
-        calls: List[Tuple[int, int, str, ast.Call]] = []
-        for sub in nodes:
-            if isinstance(sub, ast.Call):
-                name = _call_name(sub)
-                if name is not None:
-                    calls.append((sub.lineno, sub.col_offset, name, sub))
-        calls.sort(key=lambda item: (item[0], item[1]))
+        replayed in source order as the execution-order approximation;
+        calls that start at one place, as in ``f(a)(b)``, replay
+        outermost first."""
+        calls = sorted(
+            scope.calls, key=lambda item: (item[1].lineno, item[1].col_offset)
+        )
         mint: Optional[Tuple[str, int]] = None
-        for _, _, name, call in calls:
+        for name, call in calls:
             if name in HOLD_SCRUB_CALLS:
                 mint = None
             elif name in KEY_MINT_CALLS:
@@ -472,48 +581,38 @@ class _FileLinter(ast.NodeVisitor):
                 self._flag(
                     call,
                     "long-lived-secret",
-                    f"{scope_name}() mints key material via {mint_name}() "
+                    f"{scope.name}() mints key material via {mint_name}() "
                     f"(line {mint_line}) and then blocks in {name}() "
                     f"before any scrub; every blocked tick is exposure "
                     f"window — scrub or hand off to a mitigation first",
                 )
                 mint = None  # one finding per held copy
 
-    def _visit_scope(self, node, scope_name: str) -> None:
-        self._func_stack.append((scope_name, [], False))
-        nodes = list(_scope_nodes(node))
-        self._check_derived_scrub(nodes, scope_name)
-        self._check_long_lived(nodes, scope_name)
-        self.generic_visit(node)
-        name, memaligns, has_mlock = self._func_stack.pop()
-        if name in MEMALIGN_DEFINERS:
+    def _check_memalign(self, scope: _Scope) -> None:
+        """memalign-mlock: an aligned allocation with no mlock in the
+        same scope."""
+        if scope.name in MEMALIGN_DEFINERS:
             return  # the wrapper *is* the primitive
-        if memaligns and not has_mlock:
-            for call in memaligns:
-                self._flag(
-                    call,
-                    "memalign-mlock",
-                    f"{name}() allocates an aligned (secret-page) region "
-                    f"without mlock()ing it in the same function; a "
-                    f"swappable key page defeats RSA_memory_align",
-                )
-
-    def _visit_function(self, node) -> None:
-        self._visit_scope(node, node.name)
-
-    visit_FunctionDef = _visit_function
-    visit_AsyncFunctionDef = _visit_function
-
-    def visit_Lambda(self, node: ast.Lambda) -> None:
-        # A lambda is a function scope too: a module-level
-        # ``lambda p: memalign(p, ...)`` must not slip past the
-        # per-function memalign-mlock pairing check.
-        self._visit_scope(node, "<lambda>")
+        memaligns = [
+            call for name, call in scope.calls if name in MEMALIGN_DEFINERS
+        ]
+        if not memaligns or any(
+            name in ("mlock", "mlock2") for name, _ in scope.calls
+        ):
+            return
+        for call in memaligns:
+            self._flag(
+                call,
+                "memalign-mlock",
+                f"{scope.name}() allocates an aligned (secret-page) region "
+                f"without mlock()ing it in the same function; a "
+                f"swappable key page defeats RSA_memory_align",
+            )
 
     # ------------------------------------------------------------------
     # imports: wall-clock alias bookkeeping
     # ------------------------------------------------------------------
-    def visit_Import(self, node: ast.Import) -> None:
+    def _visit_import(self, node: ast.Import) -> None:
         for alias in node.names:
             local = alias.asname or alias.name.split(".")[0]
             if alias.name in ("time", "datetime"):
@@ -521,9 +620,8 @@ class _FileLinter(ast.NodeVisitor):
                     self._time_aliases.add(local)
                 else:
                     self._datetime_aliases.add(local)
-        self.generic_visit(node)
 
-    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
+    def _visit_import_from(self, node: ast.ImportFrom) -> None:
         if node.module == "time":
             for alias in node.names:
                 if alias.name in WALL_CLOCK_TIME_FUNCS:
@@ -532,7 +630,6 @@ class _FileLinter(ast.NodeVisitor):
             for alias in node.names:
                 if alias.name in ("datetime", "date"):
                     self._datetime_aliases.add(alias.asname or alias.name)
-        self.generic_visit(node)
 
     def _check_wall_clock(self, node: ast.Call, name: Optional[str]) -> None:
         if not self._wall_clock_scoped or name is None:
@@ -562,10 +659,9 @@ class _FileLinter(ast.NodeVisitor):
             )
 
     # ------------------------------------------------------------------
-    # calls: bn-free, snapshot-scope, memalign-mlock bookkeeping
+    # calls: bn-free, snapshot-scope, mont-clear, secret-in-log
     # ------------------------------------------------------------------
-    def visit_Call(self, node: ast.Call) -> None:
-        name = _call_name(node)
+    def _visit_call(self, node: ast.Call, name: Optional[str]) -> None:
         self._check_wall_clock(node, name)
         if name == "bn_free" and node.args:
             tokens = _identifier_tokens(node.args[0])
@@ -587,10 +683,7 @@ class _FileLinter(ast.NodeVisitor):
                     f"and sanitizer/ may hold the core-dump primitives",
                 )
         elif name == "drop_mont":
-            clear = next(
-                (kw.value for kw in node.keywords if kw.arg == "clear"), None
-            )
-            if not (isinstance(clear, ast.Constant) and clear.value is True):
+            if not _clears_mont(node):
                 self._flag(
                     node,
                     "mont-clear",
@@ -613,14 +706,6 @@ class _FileLinter(ast.NodeVisitor):
                     f"an unscrubbable copy of the key — log lengths or "
                     f"fingerprints, never the bytes",
                 )
-        if name in MEMALIGN_DEFINERS and self._func_stack:
-            fname, memaligns, has_mlock = self._func_stack[-1]
-            memaligns.append(node)
-            self._func_stack[-1] = (fname, memaligns, has_mlock)
-        if name in ("mlock", "mlock2") and self._func_stack:
-            fname, memaligns, _ = self._func_stack[-1]
-            self._func_stack[-1] = (fname, memaligns, True)
-        self.generic_visit(node)
 
     # ------------------------------------------------------------------
     # assignments: raw-secret-bytes
@@ -638,7 +723,7 @@ class _FileLinter(ast.NodeVisitor):
         producers = sorted(
             {
                 _call_name(sub)
-                for sub in ast.walk(value)
+                for sub in _subtree(value)
                 if isinstance(sub, ast.Call) and _call_name(sub) in SECRET_PRODUCERS
             }
             - {None}
@@ -656,7 +741,7 @@ class _FileLinter(ast.NodeVisitor):
     # ------------------------------------------------------------------
     # exception handlers: swallowed-error
     # ------------------------------------------------------------------
-    def visit_ExceptHandler(self, node: ast.ExceptHandler) -> None:
+    def _visit_except_handler(self, node: ast.ExceptHandler) -> None:
         if node.type is None:
             self._flag(
                 node,
@@ -674,19 +759,6 @@ class _FileLinter(ast.NodeVisitor):
                     f"silently swallows a simulator fault; record it "
                     f"(counter, log) or re-raise",
                 )
-        self.generic_visit(node)
-
-    def visit_Assign(self, node: ast.Assign) -> None:
-        self._check_retention(node.targets, node.value)
-        self.generic_visit(node)
-
-    def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
-        self._check_retention([node.target], node.value)
-        self.generic_visit(node)
-
-    def visit_AugAssign(self, node: ast.AugAssign) -> None:
-        self._check_retention([node.target], node.value)
-        self.generic_visit(node)
 
 
 def lint_source(
@@ -698,7 +770,7 @@ def lint_source(
     if tree is None:
         tree = ast.parse(source, filename=rel_path)
     linter = _FileLinter(rel_path)
-    linter.visit(tree)
+    linter.run(tree)
     ignored = _ignored_rules(source)
     kept = [
         violation

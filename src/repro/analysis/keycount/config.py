@@ -56,9 +56,6 @@ class KindSpec:
     #: Flags that must be *on* for the copy to exist at all (the
     #: page-aligned key region is only allocated when alignment is).
     requires: Tuple[str, ...] = ()
-    description: str = ""
-    #: The paper result this kind models (docs + SARIF rule help).
-    paper_anchor: str = ""
 
 
 COPY_CALLS: Mapping[str, str] = {
@@ -77,74 +74,38 @@ COPY_CALLS: Mapping[str, str] = {
 }
 
 DEFAULT_KIND_SPECS: Mapping[str, KindSpec] = {
+    # Paper §5: scattered BIGNUM copies the in-library d2i alignment
+    # eliminates (app-level scrubbing is a may-path outside the library).
     "crt-part": KindSpec(
         regions=("allocated", "freed"),
         killed_by=("lib_align", "hw_vault"),
-        description=(
-            "BN_bin2bn heap copy of one RSA CRT part; scattered parts "
-            "are consolidated (and the originals scrubbed) only by the "
-            "library-level alignment inside d2i"
-        ),
-        paper_anchor=(
-            "paper §5: scattered BIGNUM copies the library-level "
-            "d2i alignment eliminates (app-level scrubbing is a "
-            "may-path outside the library, so it does not lower the "
-            "static bound)"
-        ),
     ),
+    # Paper §5.2: RSA_blinding/Montgomery residues.
     "mont-cache": KindSpec(
         regions=("allocated", "freed"),
         killed_by=("align_on_load", "hw_vault"),
-        description=(
-            "Montgomery pre-computation cache holding transformed "
-            "private-key parts; alignment relocates it into the "
-            "protected region"
-        ),
-        paper_anchor="paper §5.2: RSA_blinding/Montgomery residues",
     ),
+    # Paper §4.3/Table 2: the page-cache copy.
     "pagecache-pem": KindSpec(
         regions=("pagecache",),
         killed_by=("o_nocache", "hw_vault"),
-        description=(
-            "page-cache copy of the PEM key file left by buffered "
-            "file I/O; O_NOCACHE-style reads bypass it"
-        ),
-        paper_anchor="paper §4.3/Table 2: the page-cache copy",
     ),
+    # Paper §6: exactly one allocated copy remains at the integrated level.
     "aligned-key-page": KindSpec(
         regions=("allocated",),
         killed_by=("hw_vault",),
         requires=("align_on_load",),
-        description=(
-            "the consolidated page-aligned mlocked key region — the "
-            "single residual allocated copy the paper permits"
-        ),
-        paper_anchor=(
-            "paper §6: exactly one allocated copy remains at the "
-            "integrated level (cf. the n_tty one-copy residue)"
-        ),
     ),
+    # Paper §4.2/Table 1: freed-heap copies the zero-on-free kernel
+    # patch eliminates (the ext2 result).
     "temp-buffer": KindSpec(
         regions=("freed",),
         killed_by=("kernel_zero", "hw_vault"),
-        description=(
-            "transient PEM/DER staging buffer freed without an "
-            "explicit clear; survives in the freed region until "
-            "reallocation"
-        ),
-        paper_anchor=(
-            "paper §4.2/Table 1: freed-heap copies the zero-on-free "
-            "kernel patch eliminates (the ext2 result)"
-        ),
     ),
+    # Paper §4.4: swapped copies pinned out by mlock.
     "swap-out": KindSpec(
         regions=("swap",),
         killed_by=("align_on_load", "hw_vault"),
-        description=(
-            "key page written to the swap device by memory reclaim; "
-            "alignment mlocks the key page so it is never eligible"
-        ),
-        paper_anchor="paper §4.4: swapped copies pinned out by mlock",
     ),
 }
 

@@ -59,8 +59,7 @@ KIND_ORDER = (
 class WindowKind:
     """One copy kind's window semantics."""
 
-    name: str
-    description: str
+    #: The paper result this kind models.
     paper_anchor: str
     #: Policy flags that eliminate the copy entirely (vacuous window).
     killed_by: Tuple[str, ...] = ()
@@ -87,60 +86,26 @@ class WindowKind:
 
 DEFAULT_KINDS: Dict[str, WindowKind] = {
     "crt-part": WindowKind(
-        name="crt-part",
-        description=(
-            "BN_bin2bn heap copies of the six CRT parts; they escape "
-            "d2i into the RsaStruct, so only the in-library alignment "
-            "hook bounds their exposure."
-        ),
         paper_anchor="§4.3 library-level solution",
         bounded_within=("lib_align", "d2i_privatekey"),
     ),
     "pem-buffer": WindowKind(
-        name="pem-buffer",
-        description=(
-            "Heap staging buffer holding the PEM text during d2i; "
-            "freed in-function, scrubbed only when the free clears."
-        ),
         paper_anchor="§3.1 leak L1 (temporary buffers)",
     ),
     "der-buffer": WindowKind(
-        name="der-buffer",
-        description=(
-            "Heap staging buffer holding the decoded DER (raw d/p/q "
-            "bytes) during d2i; freed in-function."
-        ),
         paper_anchor="§3.1 leak L1 (temporary buffers)",
     ),
     "mont-cache": WindowKind(
-        name="mont-cache",
-        description=(
-            "Montgomery contexts holding transformed p/q; transient "
-            "per-operation copies below the alignment levels, killed "
-            "outright by alignment."
-        ),
         paper_anchor="§3.1 leak L2 (Montgomery cache)",
         killed_by=("align_on_load",),
         match_names=False,
     ),
     "pagecache-pem": WindowKind(
-        name="pagecache-pem",
-        description=(
-            "Page-cache copy of the PEM key file; no user-space scrub "
-            "can reach it, so the window is unbounded until O_NOCACHE "
-            "prevents the copy from ever existing."
-        ),
         paper_anchor="§3.2 page-cache leak",
         killed_by=("o_nocache",),
         heap_backed=False,
     ),
     "aligned-key-page": WindowKind(
-        name="aligned-key-page",
-        description=(
-            "The consolidated mlocked key page — the one deliberate "
-            "long-lived copy the paper permits; offloaded entirely at "
-            "the hardware level."
-        ),
         paper_anchor="§4.3 aligned key region",
         requires=("align_on_load",),
         killed_by=("hw_vault",),

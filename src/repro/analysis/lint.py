@@ -76,6 +76,11 @@ Every rule honours a ``# keylint: ignore[rule]`` comment on the
 flagged line (``ignore[*]`` silences all rules for that line); use it
 where a violation is deliberate, e.g. in negative-path tests.
 
+Each file is linted in one pre-order pass that visits every node once
+(see :class:`_FileLinter` for its scope rule): the per-node rules run
+as their node is reached, and memalign-mlock, derived-secret-scrub
+and long-lived-secret run when their def or lambda scope ends.
+
 The public entry points are :func:`lint_file` and :func:`lint_paths`;
 ``python -m repro lint`` is a thin shell over them, and
 ``python -m repro analyze --layers keylint`` runs them beside the IR
@@ -320,19 +325,16 @@ def _root_name(node: ast.expr) -> Optional[str]:
 _CHILD_FIELDS: Dict[type, Tuple[str, ...]] = {}
 
 
-def _child_fields(kind: type) -> Tuple[str, ...]:
+def _push_children(node: ast.AST, stack: List[ast.AST]) -> None:
+    """``ast.iter_child_nodes(node)`` onto ``stack`` in reverse, so the
+    children pop in source order."""
+    kind = type(node)
     fields = _CHILD_FIELDS.get(kind)
     if fields is None:
         fields = _CHILD_FIELDS[kind] = tuple(
             name for name in reversed(kind._fields) if name != "ctx"
         )
-    return fields
-
-
-def _push_children(node: ast.AST, stack: List[ast.AST]) -> None:
-    """``ast.iter_child_nodes(node)`` onto ``stack`` in reverse, so the
-    children pop in source order."""
-    for name in _child_fields(type(node)):
+    for name in fields:
         value = getattr(node, name, None)
         if type(value) is list:
             for item in reversed(value):
@@ -446,22 +448,15 @@ class _FileLinter:
             ast.Import: self._visit_import,
             ast.ImportFrom: self._visit_import_from,
             ast.ExceptHandler: self._visit_except_handler,
-            ast.Assign: lambda node: self._check_retention(
-                node.targets, node.value
-            ),
-            ast.AnnAssign: lambda node: self._check_retention(
-                [node.target], node.value
-            ),
-            ast.AugAssign: lambda node: self._check_retention(
-                [node.target], node.value
-            ),
+            ast.Assign: self._check_retention,
+            ast.AnnAssign: self._check_retention,
+            ast.AugAssign: self._check_retention,
         }
 
     def run(self, tree: ast.AST) -> None:
         """Lint ``tree``.  A scope is pushed under its children, so it
         pops, and its rules run, once they are all visited."""
         handlers = self._handlers
-        child_fields = _CHILD_FIELDS
         scopes: List[_Scope] = []
         scope: Optional[_Scope] = None
         stack: List[object] = [tree]
@@ -493,16 +488,7 @@ class _FileLinter:
                 handler = handlers.get(kind)
                 if handler is not None:
                     handler(node)
-            # ``_push_children``, inlined: this runs once per node.
-            fields = child_fields.get(kind) or _child_fields(kind)
-            for field in fields:
-                value = getattr(node, field, None)
-                if type(value) is list:
-                    for item in reversed(value):
-                        if isinstance(item, ast.AST):
-                            stack.append(item)
-                elif isinstance(value, ast.AST):
-                    stack.append(value)
+            _push_children(node, stack)
 
     # ------------------------------------------------------------------
     def _flag(self, node: ast.AST, rule: str, message: str) -> None:
@@ -710,9 +696,12 @@ class _FileLinter:
     # ------------------------------------------------------------------
     # assignments: raw-secret-bytes
     # ------------------------------------------------------------------
-    def _check_retention(self, targets: Sequence[ast.expr], value: Optional[ast.expr]) -> None:
+    def _check_retention(self, node: ast.stmt) -> None:
+        """raw-secret-bytes, for an Assign, AnnAssign or AugAssign."""
+        value = node.value
         if value is None or self._raw_bytes_exempt:
             return
+        targets = node.targets if type(node) is ast.Assign else [node.target]
         attr_targets = [
             t for t in targets
             if isinstance(t, ast.Attribute) and isinstance(t.value, ast.Name)

@@ -13,8 +13,6 @@ import ast
 import textwrap
 from typing import List, Optional, Sequence, Tuple
 
-import pytest
-
 from e2ebench import snapshot
 from repro.analysis.ir.project import FunctionInfo, Project, call_terminal
 from repro.analysis.keyspan.costs import (
